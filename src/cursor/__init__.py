@@ -6,57 +6,15 @@ hypothesis-induced distances; ranking, CMA-ES search, and the synthetic
 response simulator build on that primitive.
 """
 
-from .latent import (
-    ACQUISITION_D_MAX,
-    LatentPoint,
-    TrajectorySpec,
-    as_point,
-    point_at_distance,
-    sample_trajectory,
-    similarity,
-    trajectory_distances,
-)
-from .synth import Link, ResponseModel, generate_dataset, make_response_model, simulate_response
-from .dataset import (
-    EpochTensor,
-    GroundTruth,
-    HypothesisDataset,
-    StimulusResponseDataset,
-    ablate_near_target,
-    build_hypothesis_dataset,
-    dataset_from_arrays,
-    draw_permutation,
-    load_dataset,
-    save_dataset,
-    shuffle_pairs,
-    standardize_apply,
-    standardize_fit,
-    subsample,
-    window_epoch,
-)
-from .estimators import CvConfig, EstimatorSpec, FittedEstimator, cv_rmse, cv_splits, fit, predict, rmse
-from .scoring import (
-    HypothesisScorer,
-    ScoreConfig,
-    ScoreReport,
-    score,
-    score_batch,
-    score_shuffled_control,
-)
-from .ranking import (
-    HypothesisSet,
-    RankReport,
-    build_hypothesis_set,
-    metrics_from_scores,
-    pearson_correlation,
-    rank_report,
-    target_rank,
-)
-from .pca import PcaModel, load_pca, pca_fit, pca_inverse, pca_transform, save_pca
-from .optimize import CmaConfig, OptimizationTrace, cmaes_maximize, recover_target
+from .latent import LatentPoint
+from .synth import Link, generate_dataset, make_response_model
+from .dataset import EpochTensor, dataset_from_arrays, load_dataset, save_dataset, window_epoch
+from .estimators import CvConfig, EstimatorSpec
+from .scoring import HypothesisScorer, ScoreConfig, score, score_batch
+from .ranking import build_hypothesis_set, rank_report
+from .pca import load_pca, pca_fit, pca_inverse, pca_transform, save_pca
+from .optimize import CmaConfig, cmaes_maximize, recover_target
 from .experiments import (
-    ExperimentPlan,
-    aggregate,
     load_plan,
     plan_from_dict,
     recover_labels,
@@ -67,72 +25,37 @@ from .experiments import (
 
 __version__ = "0.1.0"
 
+# The entry points documented in README.md, plus the types needed to call them.
 __all__ = [
-    "ACQUISITION_D_MAX",
     "CmaConfig",
     "CvConfig",
     "EpochTensor",
     "EstimatorSpec",
-    "ExperimentPlan",
-    "FittedEstimator",
-    "GroundTruth",
-    "HypothesisDataset",
     "HypothesisScorer",
-    "HypothesisSet",
     "LatentPoint",
     "Link",
-    "OptimizationTrace",
-    "PcaModel",
-    "RankReport",
-    "ResponseModel",
     "ScoreConfig",
-    "ScoreReport",
-    "StimulusResponseDataset",
-    "TrajectorySpec",
-    "ablate_near_target",
-    "aggregate",
-    "as_point",
-    "build_hypothesis_dataset",
     "build_hypothesis_set",
     "cmaes_maximize",
-    "cv_rmse",
-    "cv_splits",
     "dataset_from_arrays",
-    "draw_permutation",
-    "fit",
     "generate_dataset",
     "load_dataset",
     "load_pca",
     "load_plan",
     "make_response_model",
-    "metrics_from_scores",
     "pca_fit",
     "pca_inverse",
     "pca_transform",
-    "pearson_correlation",
     "plan_from_dict",
-    "point_at_distance",
-    "predict",
     "rank_report",
     "recover_labels",
     "recover_target",
-    "rmse",
     "run_ablation",
     "run_plan",
     "run_size_sweep",
-    "sample_trajectory",
     "save_dataset",
     "save_pca",
     "score",
     "score_batch",
-    "score_shuffled_control",
-    "shuffle_pairs",
-    "similarity",
-    "simulate_response",
-    "standardize_apply",
-    "standardize_fit",
-    "subsample",
-    "target_rank",
-    "trajectory_distances",
     "window_epoch",
 ]

@@ -21,19 +21,21 @@ import jsonschema
 import numpy as np
 
 from .dataset import StimulusResponseDataset, load_dataset, save_dataset
-from .estimators import CvConfig, EstimatorSpec
-from .latent import ACQUISITION_D_MAX, LatentPoint
+from .estimators import EstimatorSpec
+from .latent import LatentPoint
 from .optimize import CmaConfig, recover_target, trace_summary, trace_to_jsonl
 from .pca import default_latent_k, default_response_k, pca_fit, save_pca
 from .ranking import build_hypothesis_set, rank_report
 from .scoring import ScoreConfig, report_to_json, score
 from .synth import Link, generate_dataset, make_response_model
 from .experiments import (
+    DEFAULT_PLAN,
     aggregate,
     load_plan,
     plan_from_dict,
     recover_labels,
     run_plan,
+    score_config,
     write_jsonl,
     write_table,
 )
@@ -43,66 +45,61 @@ __all__ = ["main"]
 
 GLOBAL_DEFAULTS = {"seed": 0, "workers": None, "out": None, "format": "csv"}
 
+_GENERATOR = DEFAULT_PLAN["dataset"]["generator"]
+_ESTIMATOR = DEFAULT_PLAN["estimators"][0]
+_HYPOTHESES = DEFAULT_PLAN["hypothesis_set"]
+_OPTIMIZATION = DEFAULT_PLAN["optimization"]
+
+# Defaults of the estimator flags; optimize has no --shuffle-aligned.
+ESTIMATOR_DEFAULTS = {
+    "estimator": _ESTIMATOR["kind"],
+    "ridge_lambda": _ESTIMATOR["ridge_lambda"],
+    "folds": DEFAULT_PLAN["cv"]["n_folds"],
+    "train_fraction": DEFAULT_PLAN["cv"]["train_fraction"],
+    "shuffles": DEFAULT_PLAN["scoring"]["n_shuffles"],
+    "ratio_mode": DEFAULT_PLAN["scoring"]["ratio_mode"],
+}
+HYPOTHESIS_SET_DEFAULTS = {
+    "L": _HYPOTHESES["count"],
+    "d_max": _HYPOTHESES["d_max"],
+    "include_target": _HYPOTHESES["include_target"],
+}
+BUDGET_DEFAULTS = {"budget": _OPTIMIZATION["budget"], "bounds": _OPTIMIZATION["bounds"]}
+
 COMMAND_DEFAULTS = {
     "generate": {
         "targets": 1,
         "trajectories": 3,
-        "points": 100,
-        "latent_dim": 32,
-        "response_dim": 64,
-        "k_signal": 3,
-        "signal_gain": 1.0,
-        "noise_sigma": 1.0,
-        "nuisance_rank": 8,
-        "nuisance_gain": 1.0,
-        "link": "linear",
-        "tau": 10.0,
-        "d_min": 0.0,
-        "d_max": ACQUISITION_D_MAX,
-        "spacing": "logarithmic",
+        **{key: _GENERATOR[key] for key in (
+            "points", "latent_dim", "response_dim", "k_signal", "signal_gain", "noise_sigma",
+            "nuisance_rank", "nuisance_gain", "d_min", "d_max", "spacing")},
+        "link": _GENERATOR["link"]["kind"],
+        "tau": _GENERATOR["link"]["tau"],
         "name": "dataset",
     },
     "score": {
         "data": None,
         "hypothesis": None,
         "hypothesis_file": None,
-        "estimator": "ols",
-        "ridge_lambda": 0.0,
-        "folds": 10,
-        "train_fraction": 0.9,
-        "shuffles": 1,
-        "ratio_mode": "ratio_of_mean_rmses",
-        "shuffle_aligned": False,
+        **ESTIMATOR_DEFAULTS,
+        "shuffle_aligned": _ESTIMATOR["shuffle_aligned"],
     },
     "rank": {
         "data": None,
-        "L": 60,
-        "d_max": ACQUISITION_D_MAX,
-        "include_target": True,
-        "sizes": None,
+        **HYPOTHESIS_SET_DEFAULTS,
+        "sizes": DEFAULT_PLAN["sizes"],
         "replicates": 1,
-        "estimator": "ols",
-        "ridge_lambda": 0.0,
-        "folds": 10,
-        "train_fraction": 0.9,
-        "shuffles": 1,
-        "ratio_mode": "ratio_of_mean_rmses",
-        "shuffle_aligned": False,
+        **ESTIMATOR_DEFAULTS,
+        "shuffle_aligned": _ESTIMATOR["shuffle_aligned"],
     },
     "optimize": {
         "data": None,
-        "budget": 1000,
-        "bounds": 15.0,
-        "population": None,
-        "sigma0": None,
-        "reduce_responses": None,
-        "reduce_latents": None,
-        "estimator": "ols",
-        "ridge_lambda": 0.0,
-        "folds": 10,
-        "train_fraction": 0.9,
-        "shuffles": 1,
-        "ratio_mode": "ratio_of_mean_rmses",
+        **BUDGET_DEFAULTS,
+        "population": _OPTIMIZATION["population_size"],
+        "sigma0": _OPTIMIZATION["sigma0"],
+        "reduce_responses": _OPTIMIZATION["reduce_responses"],
+        "reduce_latents": _OPTIMIZATION["reduce_latents"],
+        **ESTIMATOR_DEFAULTS,
     },
     "ablate": {
         "plan": None,
@@ -110,17 +107,10 @@ COMMAND_DEFAULTS = {
         "thresholds": None,
         "mode": "ranking",
         "replicates": 1,
-        "L": 60,
-        "d_max": ACQUISITION_D_MAX,
-        "include_target": True,
-        "budget": 1000,
-        "bounds": 15.0,
-        "estimator": "ols",
-        "ridge_lambda": 0.0,
-        "folds": 10,
-        "train_fraction": 0.9,
-        "shuffles": 1,
-        "ratio_mode": "ratio_of_mean_rmses",
+        **HYPOTHESIS_SET_DEFAULTS,
+        **BUDGET_DEFAULTS,
+        **ESTIMATOR_DEFAULTS,
+        "shuffle_aligned": _ESTIMATOR["shuffle_aligned"],
     },
     "recover": {"data": None, "zhat": None},
     "report": {"inputs": None},
@@ -308,19 +298,31 @@ def _load_data(opts: dict) -> StimulusResponseDataset:
     return load_dataset(path)
 
 
-def _estimator_spec(opts: dict) -> EstimatorSpec:
-    return EstimatorSpec(kind=opts["estimator"], ridge_lambda=opts["ridge_lambda"])
+def _scoring_sections(opts: dict) -> dict:
+    """The plan sections that the estimator flags set."""
+    return {
+        "estimators": [{
+            "kind": opts["estimator"],
+            "ridge_lambda": opts["ridge_lambda"],
+            "shuffle_aligned": bool(opts.get("shuffle_aligned", False)),
+        }],
+        "cv": {"n_folds": opts["folds"], "train_fraction": opts["train_fraction"]},
+        "scoring": {
+            "n_shuffles": opts["shuffles"],
+            "ratio_mode": opts["ratio_mode"],
+            "denom_floor": DEFAULT_PLAN["scoring"]["denom_floor"],
+        },
+    }
 
 
-def _score_config(opts: dict, cv_seed: int, perm_seed: int) -> ScoreConfig:
-    return ScoreConfig(
-        estimator=_estimator_spec(opts),
-        cv=CvConfig(n_folds=opts["folds"], train_fraction=opts["train_fraction"],
-                    seed=cv_seed),
-        perm_seed=perm_seed,
-        ratio_mode=opts["ratio_mode"],
-        n_shuffles=opts["shuffles"],
-        shuffle_aligned=bool(opts.get("shuffle_aligned", False)),
+def _score_config(opts: dict) -> ScoreConfig:
+    seed = opts["seed"]
+    return score_config(
+        _scoring_sections(opts),
+        EstimatorSpec(kind=opts["estimator"], ridge_lambda=opts["ridge_lambda"]),
+        bool(opts.get("shuffle_aligned", False)),
+        derive_seed(seed, "cv"),
+        derive_seed(seed, "perm"),
     )
 
 
@@ -377,7 +379,7 @@ def _cmd_score(opts: dict) -> int:
             coords = coords.get("coords")
     if coords is None:
         raise ValueError("provide --hypothesis or --hypothesis-file")
-    cfg = _score_config(opts, derive_seed(opts["seed"], "cv"), derive_seed(opts["seed"], "perm"))
+    cfg = _score_config(opts)
     rep = score(ds, np.asarray(coords, dtype=np.float64), cfg)
     with open(out / "score.json", "w", encoding="utf-8") as fh:
         fh.write(report_to_json(rep))
@@ -397,18 +399,12 @@ def _cmd_score(opts: dict) -> int:
 def _sweep_plan(opts: dict, data: str) -> dict:
     return {
         "dataset": {"file": data},
-        "estimators": [{
-            "kind": opts["estimator"],
-            "ridge_lambda": opts["ridge_lambda"],
-            "shuffle_aligned": bool(opts.get("shuffle_aligned", False)),
-        }],
+        **_scoring_sections(opts),
         "hypothesis_set": {
             "count": opts["L"],
             "d_max": opts["d_max"],
             "include_target": opts["include_target"],
         },
-        "cv": {"n_folds": opts["folds"], "train_fraction": opts["train_fraction"]},
-        "scoring": {"n_shuffles": opts["shuffles"], "ratio_mode": opts["ratio_mode"]},
         "targets": 1,
         "replicates": opts["replicates"],
         "master_seed": opts["seed"],
@@ -435,7 +431,7 @@ def _cmd_rank(opts: dict) -> int:
         ds.truth.target, opts["L"], opts["d_max"],
         derive_seed(seed, "hypothesis-set"), include_target=opts["include_target"],
     )
-    cfg = _score_config(opts, derive_seed(seed, "cv"), derive_seed(seed, "perm"))
+    cfg = _score_config(opts)
     rep = rank_report(ds, hset, cfg, worker_count=opts["workers"])
     row = {
         "estimator": opts["estimator"],
@@ -476,7 +472,7 @@ def _cmd_optimize(opts: dict) -> int:
     pca_z = pca_fit(ds.stimuli, k_z)
     save_pca(pca_e, out / "pca_responses.bin")
     save_pca(pca_z, out / "pca_latents.bin")
-    cfg = _score_config(opts, derive_seed(seed, "cv"), derive_seed(seed, "perm"))
+    cfg = _score_config(opts)
     cma = CmaConfig(
         dim=k_z,
         bounds_lo=-opts["bounds"],

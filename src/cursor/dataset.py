@@ -2,9 +2,8 @@
 
 A StimulusResponseDataset holds the public (z_i, e_i) pairs plus optional
 hidden ground truth (the generating target and its distances) used only for
-evaluation.  A HypothesisDataset pairs the same responses with distances
-induced by one hypothesis point.  Epoch windowing turns a channels x time
-tensor into the flat feature vector the estimators consume.
+evaluation.  Epoch windowing turns a channels x time tensor into the flat
+feature vector the estimators consume.
 """
 
 from __future__ import annotations
@@ -16,20 +15,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import derive_rng
-from .latent import LatentPoint, as_point, similarity
+from .latent import LatentPoint, as_point
 
 __all__ = [
     "EpochTensor",
     "GroundTruth",
-    "HypothesisDataset",
     "StimulusResponseDataset",
     "ablate_near_target",
-    "build_hypothesis_dataset",
     "dataset_from_arrays",
     "draw_permutation",
     "load_dataset",
     "save_dataset",
-    "shuffle_pairs",
     "standardize_apply",
     "standardize_fit",
     "subsample",
@@ -119,36 +115,6 @@ def dataset_from_arrays(stimuli, responses, target=None, distances=None,
     return StimulusResponseDataset(stimuli, responses, truth, provenance or {})
 
 
-@dataclass(frozen=True, eq=False)
-class HypothesisDataset:
-    """Responses paired with distances induced by one hypothesis point."""
-
-    responses: np.ndarray  # (N, De); shared with the source dataset
-    distances: np.ndarray  # (N,)
-    hypothesis: LatentPoint
-
-    def __post_init__(self):
-        object.__setattr__(self, "hypothesis", as_point(self.hypothesis))
-        object.__setattr__(self, "distances", _frozen(self.distances, ndim=1))
-        if self.responses.ndim != 2:
-            raise ValueError("responses must be (N, De)")
-        if self.responses.shape[0] != self.distances.shape[0]:
-            raise ValueError("responses and distances must be row-aligned")
-
-    @property
-    def n(self) -> int:
-        return self.distances.shape[0]
-
-
-def build_hypothesis_dataset(ds: StimulusResponseDataset, h) -> HypothesisDataset:
-    """Pair every response with its distance to hypothesis h (Gamma^h)."""
-    h = as_point(h)
-    if h.dim != ds.stimulus_dim:
-        raise ValueError(f"dimension mismatch: {h.dim} vs {ds.stimulus_dim}")
-    distances = np.linalg.norm(ds.stimuli - h.coords, axis=1)
-    return HypothesisDataset(ds.responses, distances, h)
-
-
 def draw_permutation(n: int, perm_seed: int) -> np.ndarray:
     """Seeded uniform permutation of range(n), resampled until not identity."""
     if n < 2:
@@ -159,12 +125,6 @@ def draw_permutation(n: int, perm_seed: int) -> np.ndarray:
         sigma = rng.permutation(n)
         if not np.array_equal(sigma, identity):
             return sigma
-
-
-def shuffle_pairs(gd: HypothesisDataset, perm_seed: int) -> HypothesisDataset:
-    """Break response-distance alignment: responses permuted, distances fixed."""
-    sigma = draw_permutation(gd.n, perm_seed)
-    return HypothesisDataset(gd.responses[sigma], gd.distances, gd.hypothesis)
 
 
 # ---------------------------------------------------------------------------

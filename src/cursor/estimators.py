@@ -1,30 +1,27 @@
-"""Regression estimators and the cross-validation loop used by scoring.
+"""Estimator specs, cross-validation splits, and the one linear solve.
 
-All linear fitting happens in standardized, mean-centered space through one
-SVD-based solve: OLS takes the rank-tolerant minimum-norm solution, ridge
-shrinks by s/(s^2 + lambda), and the dummy ignores inputs entirely.  Scalers
-are always fit on training rows only, so a validation row can never leak
-into the fitted parameters.
+The scorer (scoring.HypothesisScorer) standardizes each training block, takes
+the SVD of its centered design once, and calls solve_centered per hypothesis:
+OLS takes the rank-tolerant minimum-norm solution, ridge shrinks by
+s/(s^2 + lambda), and the dummy ignores inputs entirely.  Scalers are always
+fit on training rows only, so a validation row can never leak into the fitted
+parameters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._util import derive_rng
-from .dataset import standardize_apply, standardize_fit
 
 __all__ = [
     "CvConfig",
     "EstimatorSpec",
-    "FittedEstimator",
-    "cv_rmse",
     "cv_splits",
-    "fit",
-    "predict",
     "rmse",
+    "solve_centered",
 ]
 
 KINDS = ("ols", "ridge", "dummy_mean")
@@ -34,8 +31,6 @@ KINDS = ("ols", "ridge", "dummy_mean")
 class EstimatorSpec:
     kind: str = "ols"
     ridge_lambda: float = 0.0
-    standardize_inputs: bool = True
-    standardize_targets: bool = True
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -44,45 +39,17 @@ class EstimatorSpec:
             raise ValueError("ridge_lambda must be >= 0")
 
 
-@dataclass(frozen=True, eq=False)
-class FittedEstimator:
-    spec: EstimatorSpec
-    weights: np.ndarray  # standardized-space weights; empty for dummy
-    intercept: float
-    input_scaler: tuple[np.ndarray, np.ndarray]  # (means, stds)
-    target_scaler: tuple[float, float]  # (mean, std)
-
-
 @dataclass(frozen=True)
 class CvConfig:
     n_folds: int = 10
     train_fraction: float = 0.9
     seed: int = 0
-    # Conventional disjoint-validation K-fold instead of independent splits.
-    partitioned: bool = False
-    # Sensitivity knob: evaluate each fold on its own training rows.
-    eval_on_train: bool = False
 
     def __post_init__(self):
         if self.n_folds < 1:
             raise ValueError("n_folds must be >= 1")
         if not 0 < self.train_fraction < 1:
             raise ValueError("train_fraction must lie in (0, 1)")
-
-
-def _identity_scaler(n_cols: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.zeros(n_cols), np.ones(n_cols)
-
-
-def _input_scaler(spec: EstimatorSpec, X: np.ndarray):
-    return standardize_fit(X) if spec.standardize_inputs else _identity_scaler(X.shape[1])
-
-
-def _target_scaler(spec: EstimatorSpec, y: np.ndarray) -> tuple[float, float]:
-    if not spec.standardize_targets:
-        return 0.0, 1.0
-    means, stds = standardize_fit(y)
-    return float(means[0]), float(stds[0])
 
 
 def solve_centered(kind: str, lam: float, u: np.ndarray, s: np.ndarray,
@@ -102,49 +69,6 @@ def solve_centered(kind: str, lam: float, u: np.ndarray, s: np.ndarray,
     return vt.T @ (uy * scale)
 
 
-def fit(spec: EstimatorSpec, X, y) -> FittedEstimator:
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-        raise ValueError("X must be (N, D) with y of length N")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise ValueError("non-finite values in training data")
-    n_min = 1 if spec.kind == "dummy_mean" else 2
-    if X.shape[0] < n_min:
-        raise ValueError(f"{spec.kind} needs at least {n_min} rows")
-
-    in_scaler = _input_scaler(spec, X)
-    t_scaler = _target_scaler(spec, y)
-    ys = (y - t_scaler[0]) / t_scaler[1]
-    ym = float(ys.mean())
-
-    if spec.kind == "dummy_mean":
-        return FittedEstimator(spec, np.zeros(0), ym, in_scaler, t_scaler)
-
-    Xs = standardize_apply(X, *in_scaler)
-    xm = Xs.mean(axis=0)
-    u, s, vt = np.linalg.svd(Xs - xm, full_matrices=False)
-    w = solve_centered(spec.kind, spec.ridge_lambda, u, s, vt, ys - ym)
-    intercept = ym - float(xm @ w)
-    return FittedEstimator(spec, w, intercept, in_scaler, t_scaler)
-
-
-def predict(est: FittedEstimator, X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError("X must be (N, D)")
-    if est.spec.kind == "dummy_mean":
-        y_std = np.full(X.shape[0], est.intercept)
-    else:
-        if X.shape[1] != est.weights.shape[0]:
-            raise ValueError(
-                f"feature count {X.shape[1]} does not match fit ({est.weights.shape[0]})"
-            )
-        y_std = standardize_apply(X, *est.input_scaler) @ est.weights + est.intercept
-    t_mean, t_std = est.target_scaler
-    return y_std * t_std + t_mean
-
-
 def rmse(y_hat, y) -> float:
     """(1/sqrt(N)) * ||y_hat - y||_2."""
     y_hat = np.asarray(y_hat, dtype=np.float64)
@@ -159,44 +83,17 @@ def rmse(y_hat, y) -> float:
 def cv_splits(cv: CvConfig, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Seeded train/validation index pairs over range(n).
 
-    Default mode draws n_folds independent random train_fraction splits; the
-    partitioned flag switches to the conventional disjoint-validation K-fold.
-    Indices are returned sorted ascending, keyed only to (cv.seed, fold).
+    Draws n_folds independent random train_fraction splits, so validation
+    sets of different folds may overlap.  Indices are returned sorted
+    ascending, keyed only to (cv.seed, fold).
     """
     if n < cv.n_folds:
         raise ValueError(f"need at least n_folds={cv.n_folds} rows, got {n}")
     if n < 2:
         raise ValueError("cross-validation needs at least 2 rows")
+    n_train = min(max(int(round(cv.train_fraction * n)), 1), n - 1)
     splits = []
-    if cv.partitioned:
-        perm = derive_rng(cv.seed, "cv-partition").permutation(n)
-        chunks = np.array_split(perm, cv.n_folds)
-        for f in range(cv.n_folds):
-            val = np.sort(chunks[f])
-            train = np.sort(np.concatenate([chunks[g] for g in range(cv.n_folds) if g != f]))
-            splits.append((train, val))
-    else:
-        n_train = min(max(int(round(cv.train_fraction * n)), 1), n - 1)
-        for f in range(cv.n_folds):
-            perm = derive_rng(cv.seed, f, "cv-split").permutation(n)
-            splits.append((np.sort(perm[:n_train]), np.sort(perm[n_train:])))
+    for f in range(cv.n_folds):
+        perm = derive_rng(cv.seed, f, "cv-split").permutation(n)
+        splits.append((np.sort(perm[:n_train]), np.sort(perm[n_train:])))
     return splits
-
-
-def cv_rmse(spec: EstimatorSpec, X, y, cv: CvConfig,
-            splits=None) -> tuple[float, list[float]]:
-    """Mean and per-fold held-out RMSE over seeded splits.
-
-    An explicit splits list overrides the seeded ones so that two scoring
-    branches can consume identical fold assignments.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if splits is None:
-        splits = cv_splits(cv, X.shape[0])
-    per_fold = []
-    for train, val in splits:
-        est = fit(spec, X[train], y[train])
-        rows = train if cv.eval_on_train else val
-        per_fold.append(rmse(predict(est, X[rows]), y[rows]))
-    return float(np.mean(per_fold)), per_fold

@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import json
 import hashlib
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,9 +46,9 @@ __all__ = [
     "replicate_dataset",
     "replicate_seeds",
     "run_ablation",
-    "run_directory",
     "run_plan",
     "run_size_sweep",
+    "score_config",
     "write_jsonl",
     "write_table",
 ]
@@ -339,10 +338,11 @@ def replicate_dataset(plan: ExperimentPlan, target_idx: int, variant_idx: int,
     )
 
 
-def _score_config(plan: ExperimentPlan, spec: EstimatorSpec, shuffle_aligned: bool,
-                  cv_seed: int, perm_seed: int) -> ScoreConfig:
-    cv = plan.raw["cv"]
-    sc = plan.raw["scoring"]
+def score_config(sections: dict, spec: EstimatorSpec, shuffle_aligned: bool,
+                 cv_seed: int, perm_seed: int) -> ScoreConfig:
+    """The ScoreConfig of one cell, from a plan's "cv" and "scoring" sections."""
+    cv = sections["cv"]
+    sc = sections["scoring"]
     return ScoreConfig(
         estimator=spec,
         cv=CvConfig(n_folds=cv["n_folds"], train_fraction=cv["train_fraction"], seed=cv_seed),
@@ -438,7 +438,7 @@ def run_size_sweep(plan: ExperimentPlan, worker_count: int = 1) -> list[SweepCel
             if size < ds.n:
                 ds = subsample(ds, size, derive_seed(plan.master_seed, "subsample", t, v, size))
             hset = _hypothesis_set(plan, ds, seeds["hypothesis_set"])
-            cfg = _score_config(plan, spec, shuffled, seeds["cv"], seeds["perm"])
+            cfg = score_config(plan.raw, spec, shuffled, seeds["cv"], seeds["perm"])
             rep = rank_report(ds, hset, cfg, true_target=ds.truth.target)
             return SweepCell(target=t, variant=v, size=size, estimator=key,
                              seeds=seeds, report=rep)
@@ -553,7 +553,7 @@ def run_ablation(plan: ExperimentPlan, mode: str = "ranking",
                 full, ablated.n,
                 derive_seed(plan.master_seed, "ablation-control", t, v, f"{thr:.6g}"),
             )
-            cfg = _score_config(plan, spec, shuffled, seeds["cv"], seeds["perm"])
+            cfg = score_config(plan.raw, spec, shuffled, seeds["cv"], seeds["perm"])
             cells = []
             for cond, ds in (("ablated", ablated), ("control", control)):
                 if mode == "ranking":
@@ -665,13 +665,6 @@ def write_jsonl(records: list[dict], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
-def run_directory(out_root, tag: str) -> Path:
-    stamp = time.strftime("%Y%m%dT%H%M%S")
-    path = Path(out_root) / f"{tag}-{stamp}"
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def _stamp_rows(plan: ExperimentPlan, rows: list[dict]) -> list[dict]:

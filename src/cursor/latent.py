@@ -8,7 +8,7 @@ cheap instead of iterative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -9,7 +9,6 @@ subspace plus the mean.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 
@@ -21,9 +20,7 @@ __all__ = [
     "default_response_k",
     "load_pca",
     "pca_fit",
-    "pca_from_json",
     "pca_inverse",
-    "pca_to_json",
     "pca_transform",
     "save_pca",
 ]
@@ -105,30 +102,6 @@ def pca_inverse(m: PcaModel, y) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     _check_dim(y.shape[-1], m.k, "reduced dimension")
     return y @ m.components + m.mean
-
-
-def pca_to_json(m: PcaModel) -> str:
-    return json.dumps(
-        {
-            "input_dim": m.input_dim,
-            "k": m.k,
-            "mean": [float(v) for v in m.mean],
-            "components": [[float(v) for v in row] for row in m.components],
-            "explained_variance": [float(v) for v in m.explained_variance],
-        },
-        sort_keys=True,
-    )
-
-
-def pca_from_json(text: str) -> PcaModel:
-    raw = json.loads(text)
-    return PcaModel(
-        mean=np.asarray(raw["mean"]),
-        components=np.asarray(raw["components"]),
-        explained_variance=np.asarray(raw["explained_variance"]),
-        input_dim=raw["input_dim"],
-        k=raw["k"],
-    )
 
 
 def save_pca(m: PcaModel, path) -> None:

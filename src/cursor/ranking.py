@@ -146,20 +146,19 @@ class RankReport:
 
 
 def rank_report(ds, hset: HypothesisSet, cfg: ScoreConfig,
-                true_target=None, worker_count: int = 1,
-                tie_seed: int | None = None) -> RankReport:
+                true_target=None, worker_count: int = 1) -> RankReport:
     """Score every hypothesis and compute the three ranking metrics.
 
     true_target defaults to the dataset's hidden target; evaluation is
-    impossible without one.
+    impossible without one.  Ties are broken with a seed derived from the
+    config's seeds and the hypothesis set's seed.
     """
     if true_target is None:
         if ds.truth is None:
             raise ValueError("rank_report needs a true target (argument or hidden truth)")
         true_target = ds.truth.target
     true_target = as_point(true_target)
-    if tie_seed is None:
-        tie_seed = derive_seed(cfg.cv.seed, cfg.perm_seed, hset.seed, "tie")
+    tie_seed = derive_seed(cfg.cv.seed, cfg.perm_seed, hset.seed, "tie")
 
     reports = score_batch(ds, list(hset.hypotheses), cfg, worker_count)
     failed = [(i, r.error) for i, r in enumerate(reports) if r.error is not None]

@@ -17,8 +17,6 @@ distance signal is strongest.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .estimators import CvConfig, EstimatorSpec
 from .latent import ACQUISITION_D_MAX, LatentPoint
 from .ranking import build_hypothesis_set

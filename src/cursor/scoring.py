@@ -32,11 +32,9 @@ __all__ = [
     "HypothesisScorer",
     "ScoreConfig",
     "ScoreReport",
-    "report_from_json",
     "report_to_json",
     "score",
     "score_batch",
-    "score_shuffled_control",
 ]
 
 RATIO_MODES = ("ratio_of_mean_rmses", "mean_of_fold_ratios")
@@ -98,24 +96,6 @@ def report_to_json(report: ScoreReport) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def report_from_json(line: str) -> ScoreReport:
-    raw = json.loads(line)
-    return ScoreReport(
-        hypothesis=as_point(raw["hypothesis"]),
-        score=raw["score"],
-        rmse_aligned=raw["rmse_aligned"],
-        rmse_shuffled=raw["rmse_shuffled"],
-        per_fold_aligned=tuple(raw["per_fold_aligned"]),
-        per_fold_shuffled=tuple(raw["per_fold_shuffled"]),
-        seeds=raw["seeds"],
-        splits_digest_aligned=raw["splits_digest_aligned"],
-        splits_digest_shuffled=raw["splits_digest_shuffled"],
-        denominator_floored=raw["denominator_floored"],
-        degenerate_distances=raw["degenerate_distances"],
-        error=raw["error"],
-    )
-
-
 def _splits_digest(splits) -> str:
     acc = hashlib.sha256()
     for train, val in splits:
@@ -129,35 +109,30 @@ def _splits_digest(splits) -> str:
 class _FoldCache:
     """Response-side work for one fold of one branch, reusable across h."""
 
-    __slots__ = ("train", "eval_rows", "u", "s", "vt", "x_eval_c")
+    __slots__ = ("train", "val", "u", "s", "vt", "x_val_c")
 
-    def __init__(self, rows, train, val, spec, eval_on_train):
+    def __init__(self, rows, train, val, spec):
         self.train = train
-        self.eval_rows = train if eval_on_train else val
+        self.val = val
         if spec.kind == "dummy_mean":
-            self.u = self.s = self.vt = self.x_eval_c = None
+            self.u = self.s = self.vt = self.x_val_c = None
             return
         x_train = rows[train]
-        scaler = (
-            standardize_fit(x_train)
-            if spec.standardize_inputs
-            else (np.zeros(x_train.shape[1]), np.ones(x_train.shape[1]))
-        )
+        scaler = standardize_fit(x_train)
         xs = standardize_apply(x_train, *scaler)
         xm = xs.mean(axis=0)
         self.u, self.s, self.vt = np.linalg.svd(xs - xm, full_matrices=False)
-        x_eval = xs if eval_on_train else standardize_apply(rows[val], *scaler)
-        self.x_eval_c = x_eval - xm
+        self.x_val_c = standardize_apply(rows[val], *scaler) - xm
 
 
 class HypothesisScorer:
     """Scores many hypotheses against one dataset under one config."""
 
-    def __init__(self, ds: StimulusResponseDataset, cfg: ScoreConfig, splits=None):
+    def __init__(self, ds: StimulusResponseDataset, cfg: ScoreConfig):
         self.ds = ds
         self.cfg = cfg
         n = ds.n
-        self.splits = cv_splits(cfg.cv, n) if splits is None else list(splits)
+        self.splits = cv_splits(cfg.cv, n)
         self.splits_digest = _splits_digest(self.splits)
         self.seeds = {
             "cv_seed": int(cfg.cv.seed),
@@ -177,32 +152,28 @@ class HypothesisScorer:
         ]
         shuffled_orders = [draw_permutation(n, s) for s in shuffle_seeds]
 
-        spec, on_train = cfg.estimator, cfg.cv.eval_on_train
-        self._aligned = self._branch(aligned_order, spec, on_train)
-        self._shuffled = [self._branch(order, spec, on_train) for order in shuffled_orders]
+        self._aligned = self._branch(aligned_order)
+        self._shuffled = [self._branch(order) for order in shuffled_orders]
 
-    def _branch(self, order, spec, eval_on_train):
+    def _branch(self, order):
         rows = self.ds.responses if order is None else self.ds.responses[order]
-        return [_FoldCache(rows, tr, va, spec, eval_on_train) for tr, va in self.splits]
+        return [_FoldCache(rows, tr, va, self.cfg.estimator) for tr, va in self.splits]
 
     def _branch_rmses(self, folds, d) -> list[float]:
         spec = self.cfg.estimator
         out = []
         for fold in folds:
             y_train = d[fold.train]
-            if spec.standardize_targets:
-                means, stds = standardize_fit(y_train)
-                t_mean, t_std = float(means[0]), float(stds[0])
-            else:
-                t_mean, t_std = 0.0, 1.0
+            means, stds = standardize_fit(y_train)
+            t_mean, t_std = float(means[0]), float(stds[0])
             ys = (y_train - t_mean) / t_std
             ym = float(ys.mean())
             if spec.kind == "dummy_mean":
-                pred_std = np.full(fold.eval_rows.shape[0], ym)
+                pred_std = np.full(fold.val.shape[0], ym)
             else:
                 w = solve_centered(spec.kind, spec.ridge_lambda, fold.u, fold.s, fold.vt, ys - ym)
-                pred_std = fold.x_eval_c @ w + ym
-            out.append(rmse(pred_std * t_std + t_mean, d[fold.eval_rows]))
+                pred_std = fold.x_val_c @ w + ym
+            out.append(rmse(pred_std * t_std + t_mean, d[fold.val]))
         return out
 
     def score_point(self, h) -> ScoreReport:
@@ -243,14 +214,9 @@ class HypothesisScorer:
         )
 
 
-def score(ds: StimulusResponseDataset, h, cfg: ScoreConfig, splits=None) -> ScoreReport:
+def score(ds: StimulusResponseDataset, h, cfg: ScoreConfig) -> ScoreReport:
     """Score one hypothesis: shuffled-control RMSE over aligned RMSE."""
-    return HypothesisScorer(ds, cfg, splits=splits).score_point(h)
-
-
-def score_shuffled_control(ds, h, cfg: ScoreConfig) -> ScoreReport:
-    """Score under the always-shuffling control: both branches break alignment."""
-    return score(ds, h, replace(cfg, shuffle_aligned=True))
+    return HypothesisScorer(ds, cfg).score_point(h)
 
 
 def _batch_cfg(cfg: ScoreConfig, index: int) -> ScoreConfig:

@@ -13,13 +13,13 @@ knobs to degrade the signal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._util import derive_rng, derive_seed
 from .dataset import GroundTruth, StimulusResponseDataset
-from .latent import ACQUISITION_D_MAX, LatentPoint, TrajectorySpec, as_point, sample_trajectory
+from .latent import ACQUISITION_D_MAX, TrajectorySpec, as_point, sample_trajectory
 
 __all__ = [
     "Link",

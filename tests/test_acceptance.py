@@ -23,7 +23,7 @@ from cursor.dataset import (
     subsample,
     window_epoch,
 )
-from cursor.estimators import CvConfig, EstimatorSpec, fit, predict
+from cursor.estimators import CvConfig, EstimatorSpec, solve_centered
 from cursor.experiments import recover_labels
 from cursor.optimize import CmaConfig, cmaes_maximize, recover_target
 from cursor.pca import (
@@ -88,8 +88,7 @@ def test_criterion_1_dummy_score_identity():
 
 
 def test_criterion_2_ols_matches_pseudoinverse_oracle():
-    spec = EstimatorSpec(kind="ols", standardize_inputs=False,
-                         standardize_targets=False)
+    # the scorer's solve, fed the SVD of the centered raw design
     worst_w, worst_orth = 0.0, 0.0
     for i in range(100):
         rng = derive_rng(9200, "ols-problem", i)
@@ -97,14 +96,17 @@ def test_criterion_2_ols_matches_pseudoinverse_oracle():
         d = int(rng.integers(1, 21))
         X = rng.standard_normal((n, d))
         y = rng.standard_normal(n)
-        est = fit(spec, X, y)
+        xm, ym = X.mean(axis=0), y.mean()
+        u, s, vt = np.linalg.svd(X - xm, full_matrices=False)
+        weights = solve_centered("ols", 0.0, u, s, vt, y - ym)
+        intercept = ym - xm @ weights
         # independent oracle: pseudoinverse of the intercept-augmented design
         A = np.hstack([X, np.ones((n, 1))])
         w_full = np.linalg.pinv(A) @ y
         worst_w = max(worst_w,
-                      float(np.max(np.abs(est.weights - w_full[:-1]))),
-                      abs(est.intercept - w_full[-1]))
-        resid = y - predict(est, X)
+                      float(np.max(np.abs(weights - w_full[:-1]))),
+                      abs(intercept - w_full[-1]))
+        resid = y - (X @ weights + intercept)
         worst_orth = max(worst_orth, float(np.max(np.abs(X.T @ resid))),
                          abs(float(resid.sum())))
     ok = worst_w < 1e-8 and worst_orth < 1e-8

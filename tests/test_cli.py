@@ -263,6 +263,19 @@ def test_ablate_smoke(tmp_path, data_csv):
     assert (tmp_path / "ablation_summary.csv").exists()
 
 
+def test_ablate_shuffle_aligned_reaches_the_plan(tmp_path, data_csv):
+    code = main([
+        "ablate", "--data", data_csv, "--thresholds", "0", "--L", "6", "--d-max", "8",
+        "--folds", "3", "--shuffle-aligned", "-o", str(tmp_path),
+    ])
+    assert code == 0
+    rows = [json.loads(line) for line in
+            (tmp_path / "ablation_rows.jsonl").read_text().splitlines()]
+    assert {r["estimator"] for r in rows} == {"ols-shuffled"}
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["options"]["shuffle_aligned"] is True
+
+
 def test_ablate_rejects_plan_and_data(tmp_path, data_csv, capsys):
     plan = tmp_path / "plan.json"
     plan.write_text("{}")

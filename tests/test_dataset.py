@@ -8,15 +8,12 @@ from hypothesis import strategies as st
 from cursor.dataset import (
     EpochTensor,
     GroundTruth,
-    HypothesisDataset,
     StimulusResponseDataset,
     ablate_near_target,
-    build_hypothesis_dataset,
     dataset_from_arrays,
     draw_permutation,
     load_dataset,
     save_dataset,
-    shuffle_pairs,
     standardize_apply,
     standardize_fit,
     subsample,
@@ -62,21 +59,6 @@ def test_arrays_are_readonly():
         ds.responses[0, 0] = 1.0
 
 
-def test_build_hypothesis_dataset_distances():
-    ds = _plain_dataset(dz=4)
-    h = np.ones(4)
-    gd = build_hypothesis_dataset(ds, h)
-    assert gd.n == ds.n
-    assert np.allclose(gd.distances, np.linalg.norm(ds.stimuli - h, axis=1))
-    assert gd.responses is ds.responses
-
-
-def test_build_hypothesis_dataset_dim_mismatch():
-    ds = _plain_dataset(dz=4)
-    with pytest.raises(ValueError):
-        build_hypothesis_dataset(ds, np.ones(3))
-
-
 def test_draw_permutation_never_identity():
     for seed in range(40):
         sigma = draw_permutation(2, seed)
@@ -87,16 +69,6 @@ def test_draw_permutation_never_identity():
 def test_draw_permutation_deterministic():
     assert np.array_equal(draw_permutation(30, 9), draw_permutation(30, 9))
     assert not np.array_equal(draw_permutation(30, 9), draw_permutation(30, 10))
-
-
-def test_shuffle_pairs_keeps_distances_and_multiset():
-    ds = _plain_dataset(n=20)
-    gd = build_hypothesis_dataset(ds, np.zeros(3))
-    sh = shuffle_pairs(gd, perm_seed=4)
-    assert np.array_equal(sh.distances, gd.distances)
-    assert not np.array_equal(sh.responses, gd.responses)
-    # same rows, different order
-    assert np.allclose(np.sort(sh.responses, axis=0), np.sort(gd.responses, axis=0))
 
 
 @given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=1000))
@@ -310,7 +282,12 @@ def test_format_inferred_from_suffix(tmp_path):
         assert fh.read(4) == b"CRSR"
     save_dataset(ds, tmp_path / "a.csv")
     with open(tmp_path / "a.csv") as fh:
-        assert fh.readline().startswith("stim_0,")
+        header = fh.readline().rstrip("\n")
+    assert header == (
+        "stim_0,stim_1,stim_2,stim_3,stim_4,stim_5,"
+        "resp_0,resp_1,resp_2,resp_3,resp_4,resp_5,resp_6,resp_7,resp_8,resp_9,"
+        "true_dist"
+    )
 
 
 def test_load_rejects_garbage_header(tmp_path):

@@ -3,15 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cursor.estimators import (
-    CvConfig,
-    EstimatorSpec,
-    cv_rmse,
-    cv_splits,
-    fit,
-    predict,
-    rmse,
-)
+from cursor.estimators import CvConfig, EstimatorSpec, cv_splits, rmse, solve_centered
+
+from svd_reference import cv_rmse, fit, predict
 
 
 def _linear_problem(n=40, d=5, noise=0.0, seed=0):
@@ -20,6 +14,14 @@ def _linear_problem(n=40, d=5, noise=0.0, seed=0):
     w = rng.standard_normal(d)
     y = X @ w + 2.5 + noise * rng.standard_normal(n)
     return X, y
+
+
+def _solve_raw(X, y, kind="ols", lam=0.0):
+    """(weights, intercept) from solve_centered on the unstandardized design."""
+    xm, ym = X.mean(axis=0), y.mean()
+    u, s, vt = np.linalg.svd(X - xm, full_matrices=False)
+    w = solve_centered(kind, lam, u, s, vt, y - ym)
+    return w, ym - xm @ w
 
 
 def test_spec_validation():
@@ -38,47 +40,41 @@ def test_ols_recovers_exact_linear_map():
 def test_ols_matches_pinv_oracle():
     # independent oracle: raw least squares with explicit intercept column
     X, y = _linear_problem(n=30, d=4, noise=0.5, seed=1)
-    est = fit(EstimatorSpec(kind="ols", standardize_inputs=False,
-                            standardize_targets=False), X, y)
+    w, intercept = _solve_raw(X, y)
     A = np.hstack([X, np.ones((30, 1))])
     coef = np.linalg.pinv(A) @ y
-    assert np.allclose(predict(est, X), A @ coef, atol=1e-8)
+    assert np.allclose(X @ w + intercept, A @ coef, atol=1e-8)
 
 
 def test_ols_standardization_invariance_of_predictions():
-    # standardize on/off must give identical predictions for well-posed OLS
+    # standardized and raw designs must give identical predictions for well-posed OLS
     X, y = _linear_problem(n=30, d=4, noise=0.5, seed=2)
-    e1 = fit(EstimatorSpec(kind="ols"), X, y)
-    e2 = fit(EstimatorSpec(kind="ols", standardize_inputs=False,
-                           standardize_targets=False), X, y)
-    assert np.allclose(predict(e1, X), predict(e2, X), atol=1e-8)
+    w, intercept = _solve_raw(X, y)
+    est = fit(EstimatorSpec(kind="ols"), X, y)
+    assert np.allclose(predict(est, X), X @ w + intercept, atol=1e-8)
 
 
 def test_ridge_matches_closed_form_oracle():
-    # standardized-space oracle: w = (Xc'Xc + lam I)^-1 Xc' yc
+    # closed-form oracle on the centered design: w = (Xc'Xc + lam I)^-1 Xc' yc
     X, y = _linear_problem(n=25, d=3, noise=1.0, seed=3)
     lam = 4.0
-    spec = EstimatorSpec(kind="ridge", ridge_lambda=lam,
-                         standardize_inputs=False, standardize_targets=False)
-    est = fit(spec, X, y)
-    xm, ym = X.mean(axis=0), y.mean()
-    Xc, yc = X - xm, y - ym
+    got, _ = _solve_raw(X, y, kind="ridge", lam=lam)
+    Xc, yc = X - X.mean(axis=0), y - y.mean()
     w = np.linalg.solve(Xc.T @ Xc + lam * np.eye(3), Xc.T @ yc)
-    expect = Xc @ w + ym
-    assert np.allclose(predict(est, X), expect, atol=1e-8)
+    assert np.allclose(got, w, atol=1e-8)
 
 
 def test_ridge_zero_lambda_equals_ols():
     X, y = _linear_problem(n=30, d=4, noise=0.3, seed=4)
-    a = fit(EstimatorSpec(kind="ols"), X, y)
-    b = fit(EstimatorSpec(kind="ridge", ridge_lambda=0.0), X, y)
-    assert np.allclose(predict(a, X), predict(b, X), atol=1e-8)
+    w_ols, _ = _solve_raw(X, y)
+    w_ridge, _ = _solve_raw(X, y, kind="ridge", lam=0.0)
+    assert np.allclose(w_ols, w_ridge, atol=1e-8)
 
 
 def test_ridge_shrinks_toward_mean():
     X, y = _linear_problem(n=30, d=4, noise=0.3, seed=5)
-    big = fit(EstimatorSpec(kind="ridge", ridge_lambda=1e9), X, y)
-    assert np.allclose(predict(big, X), y.mean(), atol=1e-3)
+    w, intercept = _solve_raw(X, y, kind="ridge", lam=1e9)
+    assert np.allclose(X @ w + intercept, y.mean(), atol=1e-3)
 
 
 def test_dummy_predicts_train_mean():
@@ -142,15 +138,6 @@ def test_cv_splits_independent_folds_differ():
     assert len(set(vals)) > 1
 
 
-def test_cv_splits_partitioned_mode_disjoint_validation():
-    cv = CvConfig(n_folds=5, seed=2, partitioned=True)
-    splits = cv_splits(cv, 23)
-    all_val = np.concatenate([v for _, v in splits])
-    assert np.array_equal(np.sort(all_val), np.arange(23))
-    for train, val in splits:
-        assert len(np.intersect1d(train, val)) == 0
-
-
 def test_cv_splits_size_guards():
     with pytest.raises(ValueError):
         cv_splits(CvConfig(n_folds=10), 5)
@@ -190,11 +177,3 @@ def test_cv_rmse_hand_computed():
         expect.append(rmse(predict(est, X[val]), y[val]))
     assert folds == pytest.approx(expect)
     assert mean == pytest.approx(np.mean(expect))
-
-
-def test_cv_rmse_eval_on_train_is_lower_for_ols():
-    X, y = _linear_problem(n=30, d=6, noise=2.0, seed=9)
-    held, _ = cv_rmse(EstimatorSpec(), X, y, CvConfig(n_folds=5, seed=1))
-    on_train, _ = cv_rmse(EstimatorSpec(), X, y,
-                          CvConfig(n_folds=5, seed=1, eval_on_train=True))
-    assert on_train < held

@@ -9,9 +9,7 @@ from cursor.pca import (
     default_response_k,
     load_pca,
     pca_fit,
-    pca_from_json,
     pca_inverse,
-    pca_to_json,
     pca_transform,
     save_pca,
 )
@@ -125,15 +123,6 @@ def test_transform_dimension_check():
         pca_transform(m, np.zeros(5))
     with pytest.raises(ValueError):
         pca_inverse(m, np.zeros(3))
-
-
-def test_json_round_trip():
-    m = pca_fit(_cloud(n=30, d=4, seed=10), 3)
-    back = pca_from_json(pca_to_json(m))
-    assert np.array_equal(back.mean, m.mean)
-    assert np.array_equal(back.components, m.components)
-    assert np.array_equal(back.explained_variance, m.explained_variance)
-    assert back.input_dim == m.input_dim and back.k == m.k
 
 
 def test_binary_round_trip(tmp_path):

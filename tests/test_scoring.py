@@ -1,19 +1,21 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from cursor.dataset import build_hypothesis_dataset, shuffle_pairs
-from cursor.estimators import EstimatorSpec, cv_rmse, cv_splits, rmse
+from cursor.dataset import draw_permutation
+from cursor.estimators import EstimatorSpec, cv_splits
 from cursor.scoring import (
     HypothesisScorer,
     ScoreConfig,
-    report_from_json,
     report_to_json,
     score,
     score_batch,
-    score_shuffled_control,
 )
 
 from conftest import fast_config, tiny_dataset
+from svd_reference import cv_rmse
 
 
 def test_config_validation():
@@ -44,17 +46,22 @@ def test_score_deterministic():
     assert a.splits_digest_aligned == b.splits_digest_aligned
 
 
-def test_score_matches_manual_ratio():
-    # independent oracle: run the two cv_rmse branches by hand
+@pytest.mark.parametrize("spec", [
+    EstimatorSpec(kind="ols"),
+    EstimatorSpec(kind="ridge", ridge_lambda=4.0),
+    EstimatorSpec(kind="dummy_mean"),
+], ids=["ols", "ridge", "dummy_mean"])
+def test_score_matches_manual_ratio(spec):
+    # independent oracle: run the two branches by hand through the reference path
     ds, target = tiny_dataset(seed=3)
-    cfg = fast_config(seed=3)
+    cfg = replace(fast_config(seed=3), estimator=spec)
     rep = score(ds, target, cfg)
 
-    gd = build_hypothesis_dataset(ds, target)
+    distances = np.linalg.norm(ds.stimuli - target.coords, axis=1)
     splits = cv_splits(cfg.cv, ds.n)
-    aligned, _ = cv_rmse(cfg.estimator, gd.responses, gd.distances, cfg.cv, splits=splits)
-    sh = shuffle_pairs(gd, cfg.perm_seed)
-    shuffled, _ = cv_rmse(cfg.estimator, sh.responses, sh.distances, cfg.cv, splits=splits)
+    aligned, _ = cv_rmse(spec, ds.responses, distances, cfg.cv, splits=splits)
+    order = draw_permutation(ds.n, cfg.perm_seed)
+    shuffled, _ = cv_rmse(spec, ds.responses[order], distances, cfg.cv, splits=splits)
     assert rep.rmse_aligned == pytest.approx(aligned, rel=1e-12)
     assert rep.rmse_shuffled == pytest.approx(shuffled, rel=1e-12)
     assert rep.score == pytest.approx(shuffled / aligned, rel=1e-12)
@@ -78,7 +85,7 @@ def test_target_scores_above_far_hypothesis():
 def test_shuffle_aligned_control_centers_at_one():
     ds, target = tiny_dataset(seed=6, noise=0.2)
     cfg = fast_config(seed=6)
-    rep = score_shuffled_control(ds, target, cfg)
+    rep = score(ds, target, replace(cfg, shuffle_aligned=True))
     # both branches shuffled: no alignment advantage left
     assert rep.score == pytest.approx(1.0, abs=0.35)
     assert rep.score < score(ds, target, cfg).score
@@ -125,12 +132,12 @@ def test_degenerate_distances_flagged():
 def test_report_json_round_trip():
     ds, target = tiny_dataset(seed=11)
     rep = score(ds, target, fast_config(seed=11))
-    back = report_from_json(report_to_json(rep))
-    assert back.score == rep.score
-    assert back.per_fold_aligned == rep.per_fold_aligned
-    assert back.seeds == rep.seeds
-    assert np.array_equal(back.hypothesis.coords, rep.hypothesis.coords)
-    assert back.error is None
+    back = json.loads(report_to_json(rep))
+    assert back["score"] == rep.score
+    assert tuple(back["per_fold_aligned"]) == rep.per_fold_aligned
+    assert back["seeds"] == rep.seeds
+    assert np.array_equal(back["hypothesis"], rep.hypothesis.coords)
+    assert back["error"] is None
 
 
 def test_scorer_point_matches_score_function():
@@ -190,8 +197,6 @@ def test_batch_rejects_empty_and_bad_workers():
 
 
 def test_denominator_floor_flag():
-    # perfectly predictable aligned branch: identical responses per distance
-    # cannot happen with noise, so force it via eval_on_train + exact fit
     ds, target = tiny_dataset(seed=18, noise=0.0)
     cfg = fast_config(seed=18)
     rep = score(ds, target, cfg)
