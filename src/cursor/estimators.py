@@ -1,11 +1,15 @@
 """Estimator specs, cross-validation splits, and the one linear solve.
 
-The scorer (scoring.HypothesisScorer) standardizes each training block, takes
-the SVD of its centered design once, and calls solve_centered per hypothesis:
-OLS takes the rank-tolerant minimum-norm solution, ridge shrinks by
-s/(s^2 + lambda), and the dummy ignores inputs entirely.  Scalers are always
-fit on training rows only, so a validation row can never leak into the fitted
-parameters.
+Every estimator works on standardized inputs and targets, with scalers fit on
+training rows only, so a validation row can never leak into the fitted
+parameters.  OLS takes the rank-tolerant minimum-norm solution, ridge shrinks
+each principal direction by s/(s^2 + lambda), and the dummy ignores inputs
+entirely.  OLS and ridge are one spectral filter, spectral_filter, on the
+singular values s of the centered design.  The scorer (scoring.HypothesisScorer)
+obtains those singular values once per fold, from an eigendecomposition of
+the fold's standardized Gram matrix or, when that is ill-conditioned, from an
+SVD of the standardized rows, and solve_centered applies the filter per
+hypothesis.
 """
 
 from __future__ import annotations
@@ -22,9 +26,11 @@ __all__ = [
     "cv_splits",
     "rmse",
     "solve_centered",
+    "spectral_filter",
 ]
 
 KINDS = ("ols", "ridge", "dummy_mean")
+MIN_FOLDS = 1
 
 
 @dataclass(frozen=True)
@@ -46,27 +52,41 @@ class CvConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_folds < 1:
-            raise ValueError("n_folds must be >= 1")
+        if self.n_folds < MIN_FOLDS:
+            raise ValueError(f"n_folds must be >= {MIN_FOLDS}")
         if not 0 < self.train_fraction < 1:
             raise ValueError("train_fraction must lie in (0, 1)")
 
 
-def solve_centered(kind: str, lam: float, u: np.ndarray, s: np.ndarray,
-                   vt: np.ndarray, yc: np.ndarray) -> np.ndarray:
-    """Weights from the SVD of a centered design matrix and centered targets."""
-    uy = u.T @ yc
+def spectral_filter(kind: str, lam: float, s: np.ndarray, size: int) -> np.ndarray:
+    """Gain per singular value s (descending) of a centered design.
+
+    OLS inverts every s above eps * size * s[0], where size is the larger
+    dimension of the design, and drops the rest; ridge gives s/(s^2 + lam).
+    """
+    scale = np.zeros_like(s)
     if kind == "ols":
-        cutoff = np.finfo(np.float64).eps * max(u.shape[0], vt.shape[1]) * (s[0] if s.size else 0.0)
-        scale = np.zeros_like(s)
+        cutoff = np.finfo(np.float64).eps * size * (s[0] if s.size else 0.0)
         keep = s > cutoff
         scale[keep] = 1.0 / s[keep]
     else:
-        scale = np.zeros_like(s)
         denom = s * s + lam
         keep = denom > 0
         scale[keep] = s[keep] / denom[keep]
-    return vt.T @ (uy * scale)
+    return scale
+
+
+def solve_centered(kind: str, lam: float, u: np.ndarray, s: np.ndarray,
+                   vt: np.ndarray, yc: np.ndarray) -> np.ndarray:
+    """Weights vt.T @ diag(spectral_filter(s)) @ u.T @ yc from the thin SVD
+    u @ diag(s) @ vt of a centered design matrix and centered targets yc.
+
+    The scorer calls this on folds it factorizes by SVD; on folds it
+    factorizes through the Gram matrix it applies the same spectral_filter to
+    the square roots of the Gram eigenvalues.
+    """
+    uy = u.T @ yc
+    return vt.T @ (uy * spectral_filter(kind, lam, s, max(u.shape[0], vt.shape[1])))
 
 
 def rmse(y_hat, y) -> float:

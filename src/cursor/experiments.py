@@ -23,7 +23,7 @@ import jsonschema
 import numpy as np
 
 from .dataset import StimulusResponseDataset, ablate_near_target, load_dataset, subsample
-from .estimators import CvConfig, EstimatorSpec
+from .estimators import MIN_FOLDS, CvConfig, EstimatorSpec
 from .latent import ACQUISITION_D_MAX, LatentPoint, as_point
 from .optimize import CmaConfig, recover_target
 from .pca import default_latent_k, default_response_k, pca_fit
@@ -142,7 +142,7 @@ PLAN_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "n_folds": {"type": "integer", "minimum": 2},
+                "n_folds": {"type": "integer", "minimum": MIN_FOLDS},
                 "train_fraction": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
             },
         },

@@ -8,10 +8,17 @@ responses were shuffled by a seeded permutation, and return
 
 Both branches consume identical fold splits, so an estimator that ignores
 responses (dummy) scores exactly 1.  A HypothesisScorer caches everything
-about (dataset, config) that does not depend on h: fold splits, permutations,
-per-fold input scalers, and SVDs of the standardized response blocks.  Many
-hypotheses can then be scored against one dataset at the cost of a target-side
-solve each, which is what makes optimization over hypotheses affordable.
+about (dataset, config) that does not depend on h: fold splits, permutations
+and one factorization per fold of the standardized training responses.  It
+centers the responses once and forms their Gram matrix; a fold's training
+Gram matrix is that minus its validation rows' share, so a fold costs an
+eigendecomposition of a De x De matrix rather than an SVD of its N_train x De
+rows, and a shuffled branch, which only reorders rows, copies none.  A fold
+whose Gram matrix would lose accuracy (no more training rows than columns, a
+constant column, or an ill-conditioned standardized Gram) takes the SVD of
+its standardized rows instead.  Many hypotheses can then be scored against
+one dataset at the cost of a target-side solve each, which is what makes
+optimization over hypotheses affordable.
 """
 
 from __future__ import annotations
@@ -24,8 +31,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._util import derive_seed
-from .dataset import StimulusResponseDataset, draw_permutation, standardize_apply, standardize_fit
-from .estimators import CvConfig, EstimatorSpec, cv_splits, rmse, solve_centered
+from .dataset import (
+    STD_FLOOR,
+    StimulusResponseDataset,
+    draw_permutation,
+    standardize_apply,
+    standardize_fit,
+)
+from .estimators import CvConfig, EstimatorSpec, cv_splits, rmse, solve_centered, spectral_filter
 from .latent import LatentPoint, as_point
 
 __all__ = [
@@ -38,6 +51,13 @@ __all__ = [
 ]
 
 RATIO_MODES = ("ratio_of_mean_rmses", "mean_of_fold_ratios")
+
+# A fold is solved from its Gram matrix only when the standardized Gram's
+# smallest eigenvalue exceeds this fraction of its largest.  Forming the Gram
+# squares the condition number of the rows, so its rounding grows like
+# (lambda_max / lambda_min) * eps, at most 1e3 * 2.2e-16 ~ 2e-13 here, which
+# keeps S(h) within 1e-12 of the SVD of the rows.
+GRAM_MIN_EIG_RATIO = 1e-3
 
 
 @dataclass(frozen=True)
@@ -106,23 +126,87 @@ def _splits_digest(splits) -> str:
     return acc.hexdigest()[:16]
 
 
-class _FoldCache:
-    """Response-side work for one fold of one branch, reusable across h."""
+class _Fold:
+    """One fold of one branch; the dummy estimator needs nothing more."""
 
-    __slots__ = ("train", "val", "u", "s", "vt", "x_val_c")
+    __slots__ = ("train", "val")
+    path = "mean"
 
-    def __init__(self, rows, train, val, spec):
+    def __init__(self, train, val):
         self.train = train
         self.val = val
-        if spec.kind == "dummy_mean":
-            self.u = self.s = self.vt = self.x_val_c = None
-            return
-        x_train = rows[train]
+
+
+class _FoldCache(_Fold):
+    """SVD of one fold's standardized training rows, reusable across h."""
+
+    __slots__ = ("u", "s", "vt", "x_val_c")
+    path = "svd"
+
+    def __init__(self, x_train, x_val, train, val):
+        super().__init__(train, val)
         scaler = standardize_fit(x_train)
         xs = standardize_apply(x_train, *scaler)
         xm = xs.mean(axis=0)
         self.u, self.s, self.vt = np.linalg.svd(xs - xm, full_matrices=False)
-        self.x_val_c = standardize_apply(rows[val], *scaler) - xm
+        self.x_val_c = standardize_apply(x_val, *scaler) - xm
+
+
+class _GramFold(_Fold):
+    """Eigendecomposition of one fold's standardized training Gram matrix.
+
+    rows are the response rows the fold trains on, in training order.  With
+    Xs = U diag(s) V^T the standardized centered training rows, Xs^T Xs =
+    V diag(s^2) V^T, so the SVD solve V diag(phi(s)) U^T yc equals
+    V diag(phi(s) / s) V^T Xs^T yc, and Xs^T yc = X0[rows]^T yc / sigma.
+    """
+
+    __slots__ = ("rows", "sigma", "gain", "v", "x_val_c")
+    path = "gram"
+
+    def __init__(self, train, val, rows, sigma, gain, v, x_val_c):
+        super().__init__(train, val)
+        self.rows = rows
+        self.sigma = sigma
+        self.gain = gain
+        self.v = v
+        self.x_val_c = x_val_c
+
+    def weights(self, g: np.ndarray) -> np.ndarray:
+        """Standardized weights from g = X0[rows]^T yc."""
+        return self.v @ (self.gain * (self.v.T @ (g / self.sigma)))
+
+
+def _gram_fold(x0, gram, colsum, rows, rows_val, train, val, spec):
+    """The fold from the Gram downdate, or None where that would lose accuracy."""
+    n_train, de = rows.shape[0], gram.shape[0]
+    if n_train <= de:
+        return None
+    x_val = x0[rows_val]
+    mu = (colsum - x_val.sum(axis=0)) / n_train
+    c = gram - x_val.T @ x_val - n_train * np.outer(mu, mu)
+    sigma = np.sqrt(np.diag(c) / (n_train - 1))
+    if not np.all(sigma >= STD_FLOOR):  # a NaN from a rounded-negative variance fails too
+        return None
+    lam, v = np.linalg.eigh(c / np.outer(sigma, sigma))
+    if not lam[0] > GRAM_MIN_EIG_RATIO * lam[-1]:
+        return None
+    s = np.sqrt(lam[::-1])  # descending, as from an SVD
+    gain = spectral_filter(spec.kind, spec.ridge_lambda, s, max(n_train, de)) / s
+    return _GramFold(train, val, rows, sigma, gain, v[:, ::-1], (x_val - mu) / sigma)
+
+
+def _target(y_train: np.ndarray):
+    """(mean, std, centered standardized targets, their mean) of one fold."""
+    means, stds = standardize_fit(y_train)
+    t_mean, t_std = float(means[0]), float(stds[0])
+    ys = (y_train - t_mean) / t_std
+    ym = float(ys.mean())
+    return t_mean, t_std, ys - ym, ym
+
+
+def _branch_digest(folds) -> str:
+    return _splits_digest((fold.train, fold.val) for fold in folds)
 
 
 class HypothesisScorer:
@@ -133,7 +217,6 @@ class HypothesisScorer:
         self.cfg = cfg
         n = ds.n
         self.splits = cv_splits(cfg.cv, n)
-        self.splits_digest = _splits_digest(self.splits)
         self.seeds = {
             "cv_seed": int(cfg.cv.seed),
             "perm_seed": int(cfg.perm_seed),
@@ -152,26 +235,52 @@ class HypothesisScorer:
         ]
         shuffled_orders = [draw_permutation(n, s) for s in shuffle_seeds]
 
+        if cfg.estimator.kind != "dummy_mean":
+            # Centered globally first: a column's offset would otherwise cancel
+            # its variance out of the Gram matrix.
+            self._x0 = ds.responses - ds.responses.mean(axis=0)
+            self._gram = self._x0.T @ self._x0
+            self._colsum = self._x0.sum(axis=0)
         self._aligned = self._branch(aligned_order)
         self._shuffled = [self._branch(order) for order in shuffled_orders]
+        self._digest_aligned = _branch_digest(self._aligned)
+        # One digest when every shuffled branch used the same folds, else all.
+        self._digest_shuffled = ",".join(sorted({_branch_digest(f) for f in self._shuffled}))
 
     def _branch(self, order):
-        rows = self.ds.responses if order is None else self.ds.responses[order]
-        return [_FoldCache(rows, tr, va, self.cfg.estimator) for tr, va in self.splits]
+        return [self._fold(train, val, order) for train, val in self.splits]
 
-    def _branch_rmses(self, folds, d) -> list[float]:
+    def _fold(self, train, val, order):
         spec = self.cfg.estimator
+        if spec.kind == "dummy_mean":
+            return _Fold(train, val)
+        rows = train if order is None else order[train]
+        rows_val = val if order is None else order[val]
+        fold = _gram_fold(self._x0, self._gram, self._colsum, rows, rows_val, train, val, spec)
+        if fold is None:
+            responses = self.ds.responses
+            fold = _FoldCache(responses[rows], responses[rows_val], train, val)
+        return fold
+
+    def _branch_rmses(self, folds, d, targets) -> list[float]:
+        spec = self.cfg.estimator
+        if any(fold.path == "gram" for fold in folds):
+            # X0^T yc for every Gram fold at once, each column scattered to
+            # the rows that fold trains on.
+            y = np.zeros((self.ds.n, len(folds)))
+            for f, fold in enumerate(folds):
+                if fold.path == "gram":
+                    y[fold.rows, f] = targets[f][2]
+            g = self._x0.T @ y
         out = []
-        for fold in folds:
-            y_train = d[fold.train]
-            means, stds = standardize_fit(y_train)
-            t_mean, t_std = float(means[0]), float(stds[0])
-            ys = (y_train - t_mean) / t_std
-            ym = float(ys.mean())
-            if spec.kind == "dummy_mean":
+        for f, fold in enumerate(folds):
+            t_mean, t_std, yc, ym = targets[f]
+            if fold.path == "mean":
                 pred_std = np.full(fold.val.shape[0], ym)
+            elif fold.path == "gram":
+                pred_std = fold.x_val_c @ fold.weights(g[:, f]) + ym
             else:
-                w = solve_centered(spec.kind, spec.ridge_lambda, fold.u, fold.s, fold.vt, ys - ym)
+                w = solve_centered(spec.kind, spec.ridge_lambda, fold.u, fold.s, fold.vt, yc)
                 pred_std = fold.x_val_c @ w + ym
             out.append(rmse(pred_std * t_std + t_mean, d[fold.val]))
         return out
@@ -182,8 +291,9 @@ class HypothesisScorer:
             raise ValueError(f"dimension mismatch: {h.dim} vs {self.ds.stimulus_dim}")
         d = np.linalg.norm(self.ds.stimuli - h.coords, axis=1)
 
-        per_fold_aligned = self._branch_rmses(self._aligned, d)
-        shuffled_runs = [self._branch_rmses(folds, d) for folds in self._shuffled]
+        targets = [_target(d[train]) for train, _ in self.splits]
+        per_fold_aligned = self._branch_rmses(self._aligned, d, targets)
+        shuffled_runs = [self._branch_rmses(folds, d, targets) for folds in self._shuffled]
         per_fold_shuffled = [
             float(np.mean([run[f] for run in shuffled_runs])) for f in range(len(self.splits))
         ]
@@ -207,8 +317,8 @@ class HypothesisScorer:
             per_fold_aligned=tuple(per_fold_aligned),
             per_fold_shuffled=tuple(per_fold_shuffled),
             seeds=dict(self.seeds),
-            splits_digest_aligned=self.splits_digest,
-            splits_digest_shuffled=self.splits_digest,
+            splits_digest_aligned=self._digest_aligned,
+            splits_digest_shuffled=self._digest_shuffled,
             denominator_floored=bool(floored),
             degenerate_distances=bool(np.all(d == d[0])),
         )

@@ -5,6 +5,13 @@ cursor.scoring.HypothesisScorer computes with cached factorizations: scalers
 fit on the training rows, an SVD of the centered standardized design, then
 the minimum-norm OLS, ridge or mean-only solve.  It keeps its own copy of the
 solve so that the scorer cross-checks share no estimator code with it.
+
+A prediction centers the standardized rows on the training mean before the
+product with the weights, in the scorer's order.  On a near-duplicate column
+the OLS weights reach 1e7 and cancel, so the other order, Xs @ w - xm @ w,
+rounds up to 6e-8 away: that is the problem's conditioning, not a fault of
+either path, and in this order the two agree to the last bit on folds the
+scorer solves by SVD.
 """
 
 from __future__ import annotations
@@ -21,7 +28,8 @@ from cursor.estimators import CvConfig, EstimatorSpec, cv_splits, rmse
 class FittedEstimator:
     spec: EstimatorSpec
     weights: np.ndarray  # standardized-space weights; empty for dummy
-    intercept: float
+    center: np.ndarray  # training mean of the standardized inputs; empty for dummy
+    intercept: float  # training mean of the standardized targets
     input_scaler: tuple[np.ndarray, np.ndarray]  # (means, stds)
     target_scaler: tuple[float, float]  # (mean, std)
 
@@ -62,14 +70,13 @@ def fit(spec: EstimatorSpec, X, y) -> FittedEstimator:
     ym = float(ys.mean())
 
     if spec.kind == "dummy_mean":
-        return FittedEstimator(spec, np.zeros(0), ym, in_scaler, t_scaler)
+        return FittedEstimator(spec, np.zeros(0), np.zeros(0), ym, in_scaler, t_scaler)
 
     Xs = standardize_apply(X, *in_scaler)
     xm = Xs.mean(axis=0)
     u, s, vt = np.linalg.svd(Xs - xm, full_matrices=False)
     w = _solve(spec.kind, spec.ridge_lambda, u, s, vt, ys - ym)
-    intercept = ym - float(xm @ w)
-    return FittedEstimator(spec, w, intercept, in_scaler, t_scaler)
+    return FittedEstimator(spec, w, xm, ym, in_scaler, t_scaler)
 
 
 def predict(est: FittedEstimator, X) -> np.ndarray:
@@ -83,7 +90,8 @@ def predict(est: FittedEstimator, X) -> np.ndarray:
             raise ValueError(
                 f"feature count {X.shape[1]} does not match fit ({est.weights.shape[0]})"
             )
-        y_std = standardize_apply(X, *est.input_scaler) @ est.weights + est.intercept
+        xc = standardize_apply(X, *est.input_scaler) - est.center
+        y_std = xc @ est.weights + est.intercept
     t_mean, t_std = est.target_scaler
     return y_std * t_std + t_mean
 

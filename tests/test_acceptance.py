@@ -260,6 +260,8 @@ def reference_battery():
         cma = CmaConfig(dim=k_z, max_evaluations=1000, seed=seeds["cma"])
         zhat, _ = recover_target(ds, cfg, cma, pca_e, pca_z)
         row["recovered_distance"] = float(np.linalg.norm(zhat.coords - target.coords))
+        row["recovery_beats_comparator"] = row["recovered_distance"] <= row["comparator_d_top"]
+        row["recovery_beats_with_target"] = row["recovered_distance"] <= row["ols_d_top"]
         dummy_cfg = reference_score_config(trial, kind="dummy_mean")
         z_dummy, tr_dummy = recover_target(ds, dummy_cfg, cma, pca_e, pca_z)
         row["dummy_improvement"] = _incumbent_improvement(tr_dummy)
@@ -471,3 +473,26 @@ def test_reference_matches_committed_calibration():
     assert log["reference"]["trajectories"] == REFERENCE["trajectories"]
     assert log["reference"]["points"] == REFERENCE["points"]
     assert log["reference"]["d_max"] == REFERENCE["d_max"]
+
+
+def test_battery_matches_committed_calibration(reference_battery):
+    # every field the battery shares with the calibration log: integers,
+    # booleans and nulls exactly, floats to the last few bits
+    with open(CALIBRATION_FILE) as fh:
+        log = json.load(fh)
+    trials = log["candidates"][f"{REFERENCE['noise_sigma']:g}"]["trials"]
+    assert len(trials) == len(reference_battery)
+    mismatches = []
+    for row, logged in zip(reference_battery, trials):
+        shared = row.keys() & logged.keys()
+        assert {"ols_rank", "slr_rank", "dummy_rank", "recovered_distance",
+                "recovery_beats_comparator", "recovery_beats_with_target"} <= shared
+        for key in sorted(shared):
+            got, want = row[key], logged[key]
+            if isinstance(want, float):
+                ok = abs(got - want) <= 1e-12 * max(1.0, abs(want))
+            else:
+                ok = got == want and type(got) is type(want)
+            if not ok:
+                mismatches.append((row["trial"], key, got, want))
+    assert not mismatches, mismatches

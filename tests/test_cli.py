@@ -188,6 +188,22 @@ def test_rank_sizes_runs_sweep(tmp_path, data_csv):
     assert sorted({r["size"] for r in rows}) == [10, 12]
 
 
+def test_rank_sizes_accepts_one_fold(tmp_path):
+    # plain rank takes --folds 1, so the size sweep's plan must too
+    gen = tmp_path / "gen"
+    assert main(["generate", "--trajectories", "10", "--points", "10", "--latent-dim", "4",
+                 "--response-dim", "8", "--k-signal", "2", "--nuisance-rank", "2",
+                 "--seed", "5", "-o", str(gen)]) == 0
+    run = tmp_path / "run"
+    assert main(["rank", "--data", str(gen / "dataset.csv"), "--L", "5", "--d-max", "8",
+                 "--folds", "1", "--sizes", "50", "--replicates", "1", "--seed", "1",
+                 "-o", str(run)]) == 0
+    plan = json.loads((run / "plan.json").read_text())
+    assert plan["cv"]["n_folds"] == 1
+    rows = [json.loads(line) for line in (run / "sweep_rows.jsonl").read_text().splitlines()]
+    assert {r["size"] for r in rows} == {50}
+
+
 OPT_ARGS = ["--budget", "12", "--bounds", "10", "--population", "4",
             "--reduce-responses", "2", "--reduce-latents", "2",
             "--folds", "3", "--seed", "1"]

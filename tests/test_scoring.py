@@ -3,12 +3,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from cursor.dataset import draw_permutation
-from cursor.estimators import EstimatorSpec, cv_splits
+from cursor._util import derive_seed
+from cursor.dataset import StimulusResponseDataset, draw_permutation
+from cursor.estimators import CvConfig, EstimatorSpec, cv_splits
+from cursor.reference import reference_dataset, reference_score_config
 from cursor.scoring import (
     HypothesisScorer,
     ScoreConfig,
+    _splits_digest,
     report_to_json,
     score,
     score_batch,
@@ -69,8 +74,23 @@ def test_score_matches_manual_ratio(spec):
 
 def test_both_branches_use_identical_folds():
     ds, target = tiny_dataset(seed=4)
+    cfg = fast_config(seed=4, n_shuffles=3, shuffle_aligned=True)
+    rep = score(ds, target, cfg)
+    expect = _splits_digest(cv_splits(cfg.cv, ds.n))
+    assert rep.splits_digest_aligned == rep.splits_digest_shuffled == expect
+
+
+def test_splits_digest_reflects_each_branch(monkeypatch):
+    # a shuffled branch built on other folds must show in its own digest
+    ds, target = tiny_dataset(seed=4)
+    build_fold = HypothesisScorer._fold
+
+    def shifted(self, train, val, order):
+        return build_fold(self, train, val if order is None else val[1:], order)
+
+    monkeypatch.setattr(HypothesisScorer, "_fold", shifted)
     rep = score(ds, target, fast_config(seed=4))
-    assert rep.splits_digest_aligned == rep.splits_digest_shuffled
+    assert rep.splits_digest_aligned != rep.splits_digest_shuffled
 
 
 def test_target_scores_above_far_hypothesis():
@@ -204,3 +224,92 @@ def test_denominator_floor_flag():
     # when aligned rmse drops below denom_floor; flag must be consistent
     assert rep.denominator_floored == (np.mean(rep.per_fold_aligned) < cfg.denom_floor)
     assert np.isfinite(rep.score)
+
+
+# ---------------------------------------------------------------------------
+# Gram-downdate folds against the SVD reference
+
+FOLD_CASES = ("plain", "offset", "constant", "near_duplicate", "n_below_de",
+              "n_folds_plus_one")
+# Cases whose folds must not take the Gram path, and ones that must.
+SVD_CASES = ("constant", "near_duplicate", "n_below_de")
+GRAM_CASES = ("plain", "offset")
+
+
+def _case_dataset(case, rng, n_folds):
+    if case == "n_below_de":
+        de = int(rng.integers(n_folds + 2, 12))
+        n = int(rng.integers(n_folds + 1, de))
+    elif case == "n_folds_plus_one":
+        de = int(rng.integers(2, 5))
+        n = n_folds + 1
+    else:
+        de = int(rng.integers(2, 9))
+        n = int(rng.integers(60, 200))
+    stimuli = rng.standard_normal((n, 3))
+    responses = stimuli @ rng.standard_normal((3, de)) + rng.standard_normal((n, de))
+    responses *= rng.uniform(0.1, 10.0, de)
+    if case == "offset":
+        responses += rng.uniform(-1e8, 1e8, de)
+    elif case == "constant":
+        responses[:, rng.integers(de)] = rng.uniform(-5.0, 5.0)
+    elif case == "near_duplicate":
+        responses[:, -1] = responses[:, 0] + 1e-9 * rng.standard_normal(n)
+    return StimulusResponseDataset(stimuli, responses)
+
+
+def _reference_per_fold(ds, d, cfg):
+    """Per-fold aligned and shuffled RMSEs from the SVD reference path."""
+    splits = cv_splits(cfg.cv, ds.n)
+
+    def branch(order):
+        rows = ds.responses if order is None else ds.responses[order]
+        return cv_rmse(cfg.estimator, rows, d, cfg.cv, splits=splits)[1]
+
+    aligned_order = None
+    if cfg.shuffle_aligned:
+        aligned_order = draw_permutation(ds.n, derive_seed(cfg.perm_seed, "aligned-control"))
+    seeds = [cfg.perm_seed] + [derive_seed(cfg.perm_seed, "multi-shuffle", j)
+                               for j in range(1, cfg.n_shuffles)]
+    runs = [branch(draw_permutation(ds.n, s)) for s in seeds]
+    return branch(aligned_order), [float(np.mean(col)) for col in zip(*runs)]
+
+
+@given(case=st.sampled_from(FOLD_CASES), kind=st.sampled_from(["ols", "ridge"]),
+       n_shuffles=st.sampled_from([1, 2]), shuffle_aligned=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_scorer_matches_svd_reference_on_every_fold(case, kind, n_shuffles,
+                                                    shuffle_aligned, seed):
+    rng = np.random.default_rng(seed)
+    n_folds = 5
+    ds = _case_dataset(case, rng, n_folds)
+    cfg = ScoreConfig(
+        estimator=EstimatorSpec(kind=kind, ridge_lambda=4.0 if kind == "ridge" else 0.0),
+        cv=CvConfig(n_folds=n_folds, seed=derive_seed(seed, "cv")),
+        perm_seed=derive_seed(seed, "perm"),
+        n_shuffles=n_shuffles,
+        shuffle_aligned=shuffle_aligned,
+    )
+    h = rng.standard_normal(3)
+    scorer = HypothesisScorer(ds, cfg)
+    rep = scorer.score_point(h)
+
+    paths = {fold.path for folds in [scorer._aligned, *scorer._shuffled] for fold in folds}
+    if case in SVD_CASES:
+        assert paths == {"svd"}
+    if case in GRAM_CASES:
+        assert paths == {"gram"}
+
+    d = np.linalg.norm(ds.stimuli - h, axis=1)
+    aligned, shuffled = _reference_per_fold(ds, d, cfg)
+    assert rep.per_fold_aligned == pytest.approx(aligned, rel=1e-12)
+    assert rep.per_fold_shuffled == pytest.approx(shuffled, rel=1e-12)
+    assert rep.rmse_aligned == pytest.approx(np.mean(aligned), rel=1e-12)
+    assert rep.rmse_shuffled == pytest.approx(np.mean(shuffled), rel=1e-12)
+    assert rep.score == pytest.approx(np.mean(shuffled) / np.mean(aligned), rel=1e-12)
+
+
+def test_reference_config_folds_take_the_gram_path():
+    ds, _ = reference_dataset(0)
+    scorer = HypothesisScorer(ds, reference_score_config(0))
+    assert {fold.path for fold in scorer._aligned + scorer._shuffled[0]} == {"gram"}
