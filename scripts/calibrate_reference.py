@@ -32,6 +32,7 @@ from cursor import (
 from cursor.pca import default_latent_k, default_response_k
 from cursor.reference import (
     REFERENCE,
+    incumbent_improvement,
     reference_dataset,
     reference_hypothesis_set,
     reference_model,
@@ -85,15 +86,7 @@ def run_trial(trial: int, noise: float, model, geometry: dict) -> dict:
             np.linalg.norm(z_ctl.coords - target.coords))
         _, m_ctl = recover_labels(ds, z_ctl)
         row[f"{label}_label_rmse"] = m_ctl["rmse"]
-        finite = [e for e in tr_ctl.evaluations if not e.nonfinite]
-        first_d, best_d, best_s = None, None, -np.inf
-        for ev in finite:
-            if ev.score > best_s:
-                best_s, best_d = ev.score, ev.distance
-                if first_d is None:
-                    first_d = ev.distance
-        improvement = 0.0 if first_d in (None, 0.0) else (first_d - best_d) / first_d
-        row[f"{label}_incumbent_improvement"] = float(improvement)
+        row[f"{label}_incumbent_improvement"] = incumbent_improvement(tr_ctl)
     return row
 
 

@@ -2,8 +2,8 @@
 
 Every stochastic step (trial noise, fold splits, permutations, CMA sampling)
 draws from a generator derived from an explicit tuple of integers and short
-string tags.  Results therefore never depend on scheduling, iteration order,
-or worker count.
+string tags.  Results therefore never depend on iteration order or on what
+else ran before them.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -43,7 +42,7 @@ from ._util import derive_rng, derive_seed
 
 __all__ = ["main"]
 
-GLOBAL_DEFAULTS = {"seed": 0, "workers": None, "out": None, "format": "csv"}
+GLOBAL_DEFAULTS = {"seed": 0, "out": None, "format": "csv"}
 
 _GENERATOR = DEFAULT_PLAN["dataset"]["generator"]
 _ESTIMATOR = DEFAULT_PLAN["estimators"][0]
@@ -127,8 +126,6 @@ def _csv_ints(text: str) -> list[int]:
 
 def _add_global_flags(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker count (default: CURSOR_WORKERS or 1; never changes numbers)")
     p.add_argument("--config", default=None,
                    help="JSON file with option overrides; a previous manifest.json works")
     p.add_argument("-o", "--out", default=None, help="output directory")
@@ -262,10 +259,6 @@ def _resolve(args: argparse.Namespace) -> dict:
             cli_val = None
         opts[dest] = cli_val if cli_val is not None else config.get(dest, default)
 
-    if opts["workers"] is None:
-        opts["workers"] = int(os.environ.get("CURSOR_WORKERS", "1"))
-    if opts["workers"] < 1:
-        raise ValueError("--workers must be at least 1")
     if opts["seed"] < 0:
         raise ValueError("--seed must be nonnegative")
     return opts
@@ -418,7 +411,7 @@ def _cmd_rank(opts: dict) -> int:
     if opts["sizes"] is not None:
         raw = _sweep_plan(opts, data)
         raw["sizes"] = opts["sizes"]
-        run_plan(plan_from_dict(raw), out, kinds=("sweep",), worker_count=opts["workers"])
+        run_plan(plan_from_dict(raw), out, kinds=("sweep",))
         _write_manifest(out, opts)
         print(f"wrote sweep tables under {out}")
         return 0
@@ -432,7 +425,7 @@ def _cmd_rank(opts: dict) -> int:
         derive_seed(seed, "hypothesis-set"), include_target=opts["include_target"],
     )
     cfg = _score_config(opts)
-    rep = rank_report(ds, hset, cfg, worker_count=opts["workers"])
+    rep = rank_report(ds, hset, cfg)
     row = {
         "estimator": opts["estimator"],
         "L": hset.size,
@@ -516,8 +509,7 @@ def _cmd_ablate(opts: dict) -> int:
             raw["ablation_thresholds"] = opts["thresholds"]
         raw["optimization"] = {"budget": opts["budget"], "bounds": opts["bounds"]}
         plan = plan_from_dict(raw)
-    run_plan(plan, out, kinds=("ablation",), ablation_mode=opts["mode"],
-             worker_count=opts["workers"])
+    run_plan(plan, out, kinds=("ablation",), ablation_mode=opts["mode"])
     _write_manifest(out, opts)
     print(f"wrote ablation tables under {out} (plan {plan.hash})")
     return 0

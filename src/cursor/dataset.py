@@ -344,19 +344,26 @@ def _save_binary(ds, path):
 
 
 def _load_binary(path, sidecar):
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != BINARY_MAGIC:
-            raise ValueError(f"bad magic bytes {magic!r}")
-        version, dz, de, n = struct.unpack("<IIII", fh.read(16))
-        if version != BINARY_VERSION:
-            raise ValueError(f"unsupported format version {version}")
-        stimuli = np.frombuffer(fh.read(8 * n * dz), dtype="<f8").reshape(n, dz)
-        responses = np.frombuffer(fh.read(8 * n * de), dtype="<f8").reshape(n, de)
-        (flags,) = struct.unpack("<B", fh.read(1))
-        truth = None
-        if flags & 1:
-            target = np.frombuffer(fh.read(8 * dz), dtype="<f8")
-            distances = np.frombuffer(fh.read(8 * n), dtype="<f8")
-            truth = GroundTruth(LatentPoint(target), distances)
+    raw = path.read_bytes()
+    if raw[:4] != BINARY_MAGIC:
+        raise ValueError(f"bad magic bytes {raw[:4]!r}")
+    if len(raw) < 20:
+        raise ValueError(f"truncated or oversized dataset file {path}: "
+                         f"{len(raw)} bytes, shorter than its 20-byte header")
+    version, dz, de, n = struct.unpack_from("<IIII", raw, 4)
+    if version != BINARY_VERSION:
+        raise ValueError(f"unsupported format version {version}")
+    # f8 stimuli and responses, a flag byte, then f8 target and distances if flagged
+    flag_at = 20 + 8 * n * (dz + de)
+    has_truth = len(raw) > flag_at and raw[flag_at] & 1
+    expected = flag_at + 1 + (8 * (dz + n) if has_truth else 0)
+    if len(raw) != expected:
+        raise ValueError(f"truncated or oversized dataset file {path}: "
+                         f"{len(raw)} bytes, its header implies {expected}")
+    values = np.frombuffer(raw, dtype="<f8", count=n * (dz + de), offset=20)
+    stimuli, responses = values[:n * dz].reshape(n, dz), values[n * dz:].reshape(n, de)
+    truth = None
+    if has_truth:
+        tail = np.frombuffer(raw, dtype="<f8", count=dz + n, offset=flag_at + 1)
+        truth = GroundTruth(LatentPoint(tail[:dz]), tail[dz:])
     return StimulusResponseDataset(stimuli, responses, truth, sidecar.get("provenance", {}))

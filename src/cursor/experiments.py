@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import json
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -396,15 +395,13 @@ def _replicate_indices(plan: ExperimentPlan):
     return [(t, v) for t in range(plan.targets) for v in range(plan.replicates)]
 
 
-def _map_jobs(jobs, worker_count: int):
-    if worker_count <= 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=worker_count) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        return [f.result() for f in futures]
+def _map_jobs(jobs):
+    # A named function, not an inline loop: perfbench/tracer.py wraps this
+    # name to time each cell (experiments.cells, experiments.cell_s_p50).
+    return [job() for job in jobs]
 
 
-def run_size_sweep(plan: ExperimentPlan, worker_count: int = 1) -> list[SweepCell]:
+def run_size_sweep(plan: ExperimentPlan) -> list[SweepCell]:
     """Rank-metric table over (size, estimator, replicate) cells.
 
     At size == N the cell is the plain unablated ranking run with the same
@@ -450,7 +447,7 @@ def run_size_sweep(plan: ExperimentPlan, worker_count: int = 1) -> list[SweepCel
         for size in cell_sizes:
             for key, spec, shuffled in plan.estimator_entries():
                 jobs.append(make_job(t, v, size, key, spec, shuffled))
-    return _map_jobs(jobs, worker_count)
+    return _map_jobs(jobs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -508,8 +505,7 @@ def _recover_on(plan: ExperimentPlan, ds: StimulusResponseDataset, cfg: ScoreCon
     return recover_target(ds, cfg, cma, pca_e, pca_z)
 
 
-def run_ablation(plan: ExperimentPlan, mode: str = "ranking",
-                 worker_count: int = 1) -> list[AblationCell]:
+def run_ablation(plan: ExperimentPlan, mode: str = "ranking") -> list[AblationCell]:
     """Paired near-target-ablation vs size-matched-control table.
 
     For each threshold the ablated dataset drops every point closer to the
@@ -582,7 +578,7 @@ def run_ablation(plan: ExperimentPlan, mode: str = "ranking",
             for key, spec, shuffled in plan.estimator_entries():
                 jobs.append(make_job(t, v, float(thr), key, spec, shuffled))
     out = []
-    for pair in _map_jobs(jobs, worker_count):
+    for pair in _map_jobs(jobs):
         out.extend(pair)
     return out
 
@@ -674,7 +670,7 @@ def _stamp_rows(plan: ExperimentPlan, rows: list[dict]) -> list[dict]:
 
 
 def run_plan(plan: ExperimentPlan, out_dir, kinds: tuple[str, ...] = ("sweep",),
-             ablation_mode: str = "ranking", worker_count: int = 1) -> dict:
+             ablation_mode: str = "ranking") -> dict:
     """Execute the requested plan sections and write tables under out_dir.
 
     Emits per-cell CSV + JSON-lines detail plus a mean/std summary per
@@ -686,7 +682,7 @@ def run_plan(plan: ExperimentPlan, out_dir, kinds: tuple[str, ...] = ("sweep",),
         json.dump(plan.raw, fh, indent=2, sort_keys=True)
     results = {}
     if "sweep" in kinds:
-        cells = run_size_sweep(plan, worker_count=worker_count)
+        cells = run_size_sweep(plan)
         rows = _stamp_rows(plan, [c.row() for c in cells])
         write_table(rows, out_dir / "sweep.csv")
         write_jsonl(rows, out_dir / "sweep_rows.jsonl")
@@ -695,7 +691,7 @@ def run_plan(plan: ExperimentPlan, out_dir, kinds: tuple[str, ...] = ("sweep",),
         write_table(_stamp_rows(plan, summary), out_dir / "sweep_summary.csv")
         results["sweep"] = rows
     if "ablation" in kinds:
-        cells = run_ablation(plan, mode=ablation_mode, worker_count=worker_count)
+        cells = run_ablation(plan, mode=ablation_mode)
         rows = _stamp_rows(plan, [c.row() for c in cells])
         write_table(rows, out_dir / "ablation.csv")
         write_jsonl(rows, out_dir / "ablation_rows.jsonl")

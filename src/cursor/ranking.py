@@ -146,7 +146,7 @@ class RankReport:
 
 
 def rank_report(ds, hset: HypothesisSet, cfg: ScoreConfig,
-                true_target=None, worker_count: int = 1) -> RankReport:
+                true_target=None) -> RankReport:
     """Score every hypothesis and compute the three ranking metrics.
 
     true_target defaults to the dataset's hidden target; evaluation is
@@ -160,7 +160,7 @@ def rank_report(ds, hset: HypothesisSet, cfg: ScoreConfig,
     true_target = as_point(true_target)
     tie_seed = derive_seed(cfg.cv.seed, cfg.perm_seed, hset.seed, "tie")
 
-    reports = score_batch(ds, list(hset.hypotheses), cfg, worker_count)
+    reports = score_batch(ds, list(hset.hypotheses), cfg)
     failed = [(i, r.error) for i, r in enumerate(reports) if r.error is not None]
     if failed:
         raise RuntimeError(f"scoring failed for hypotheses {failed}")

@@ -26,6 +26,7 @@ from ._util import derive_rng, derive_seed
 
 __all__ = [
     "REFERENCE",
+    "incumbent_improvement",
     "reference_dataset",
     "reference_hypothesis_set",
     "reference_model",
@@ -130,3 +131,17 @@ def reference_hypothesis_set(trial: int, target: LatentPoint,
         target, r["hypothesis_count"], r["hypothesis_d_max"],
         trial_seeds(trial)["hypothesis_set"], include_target=include_target,
     )
+
+
+def incumbent_improvement(trace) -> float:
+    """Relative drop, (first - last) / first, of the true distance of a trace's
+    best-so-far finite candidate; near 0 when the objective carries no signal."""
+    first_d, best_d, best_s = None, None, float("-inf")
+    for ev in trace.evaluations:
+        if not ev.nonfinite and ev.score > best_s:
+            best_s, best_d = ev.score, ev.distance
+            if first_d is None:
+                first_d = ev.distance
+    if first_d in (None, 0.0):
+        return 0.0
+    return float((first_d - best_d) / first_d)

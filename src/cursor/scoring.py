@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -337,42 +336,31 @@ def _batch_cfg(cfg: ScoreConfig, index: int) -> ScoreConfig:
     )
 
 
-def _error_report(h, exc) -> ScoreReport:
-    return ScoreReport(
-        hypothesis=as_point(h),
-        score=float("nan"),
-        rmse_aligned=float("nan"),
-        rmse_shuffled=float("nan"),
-        per_fold_aligned=(),
-        per_fold_shuffled=(),
-        seeds={},
-        error=f"{type(exc).__name__}: {exc}",
-    )
+def _score_or_marker(ds, h, cfg: ScoreConfig) -> ScoreReport:
+    try:
+        return score(ds, h, cfg)
+    except Exception as exc:  # error marker, keep the batch going
+        return ScoreReport(
+            hypothesis=as_point(h),
+            score=float("nan"),
+            rmse_aligned=float("nan"),
+            rmse_shuffled=float("nan"),
+            per_fold_aligned=(),
+            per_fold_shuffled=(),
+            seeds={},
+            error=f"{type(exc).__name__}: {exc}",
+        )
 
 
-def score_batch(ds: StimulusResponseDataset, hypotheses, cfg: ScoreConfig,
-                worker_count: int = 1) -> list[ScoreReport]:
+def score_batch(ds: StimulusResponseDataset, hypotheses, cfg: ScoreConfig) -> list[ScoreReport]:
     """Score a list of hypotheses; output order matches input order.
 
     Every hypothesis gets its own seeds derived from (cfg seeds, index), so
-    results are bitwise independent of worker_count and scheduling.  A failed
-    hypothesis yields a report with an error marker instead of aborting.
+    its score depends on its position but not on the rest of the list.  A
+    failed hypothesis yields a report with an error marker instead of aborting.
     """
     hypotheses = [as_point(h) for h in hypotheses]
     if not hypotheses:
         raise ValueError("hypothesis list must be nonempty")
-    if worker_count < 1:
-        raise ValueError("worker_count must be >= 1")
-
-    def one(pair):
-        index, h = pair
-        try:
-            return score(ds, h, _batch_cfg(cfg, index))
-        except Exception as exc:  # error marker, keep the batch going
-            return _error_report(h, exc)
-
-    items = list(enumerate(hypotheses))
-    if worker_count == 1:
-        return [one(item) for item in items]
-    with ThreadPoolExecutor(max_workers=worker_count) as pool:
-        return list(pool.map(one, items))
+    return [_score_or_marker(ds, h, _batch_cfg(cfg, index))
+            for index, h in enumerate(hypotheses)]

@@ -142,24 +142,6 @@ def test_rank_outputs(tmp_path, data_csv, capsys):
     assert (tmp_path / "rank.csv").exists()
 
 
-def test_rank_worker_invariance(tmp_path, data_csv):
-    out1, out4 = tmp_path / "w1", tmp_path / "w4"
-    assert rank_run(data_csv, out1, ("--workers", "1")) == 0
-    assert rank_run(data_csv, out4, ("--workers", "8")) == 0
-    for name in ("rank.csv", "rank_rows.jsonl", "rank_detail.jsonl"):
-        assert (out1 / name).read_text() == (out4 / name).read_text()
-
-
-def test_workers_env_variable(tmp_path, data_csv, monkeypatch):
-    out_flag, out_env = tmp_path / "flag", tmp_path / "env"
-    assert rank_run(data_csv, out_flag, ("--workers", "2")) == 0
-    monkeypatch.setenv("CURSOR_WORKERS", "2")
-    assert rank_run(data_csv, out_env) == 0
-    assert (out_flag / "rank.csv").read_text() == (out_env / "rank.csv").read_text()
-    with open(out_env / "manifest.json") as fh:
-        assert json.load(fh)["options"]["workers"] == 2
-
-
 def test_manifest_reexecution_is_bit_identical(tmp_path, data_csv):
     first = tmp_path / "first"
     again = tmp_path / "again"
@@ -168,6 +150,22 @@ def test_manifest_reexecution_is_bit_identical(tmp_path, data_csv):
     assert code == 0
     for name in ("rank.csv", "rank_rows.jsonl", "rank_detail.jsonl"):
         assert (first / name).read_text() == (again / name).read_text()
+
+
+def test_manifest_with_workers_key_replays(tmp_path, data_csv, capsys):
+    # manifests from before --workers was removed carry options["workers"]
+    direct, again = tmp_path / "direct", tmp_path / "again"
+    assert rank_run(data_csv, direct) == 0
+    manifest = json.loads((direct / "manifest.json").read_text())
+    manifest["options"]["workers"] = 8
+    old = tmp_path / "old_manifest.json"
+    old.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    assert main(["rank", "--config", str(old), "-o", str(again)]) == 0
+    for name in ("rank.csv", "rank_rows.jsonl", "rank_detail.jsonl"):
+        assert (direct / name).read_bytes() == (again / name).read_bytes()
+    assert "workers" not in json.loads((again / "manifest.json").read_text())["options"]
+    assert rank_run(data_csv, tmp_path / "flag", ("--workers", "2")) == 2
+    capsys.readouterr()
 
 
 def test_manifest_subcommand_mismatch(tmp_path, data_csv, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cursor.cli import main as cli_main
 from cursor.dataset import (
     EpochTensor,
     GroundTruth,
@@ -295,6 +296,25 @@ def test_load_rejects_garbage_header(tmp_path):
     p.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
         load_dataset(p)
+
+
+# n=20, dz=3, de=4 with truth: 20 header bytes, 8*20*7 = 1120 body bytes,
+# one flag byte, then 8*(3+20) = 184 truth bytes; 1325 bytes in all
+@pytest.mark.parametrize("size", [12, 20 + 560, 20 + 1120 + 1 + 40, 1325 + 16],
+                         ids=["header", "body", "truth", "trailing"])
+def test_binary_size_must_match_header(tmp_path, capsys, size):
+    path = tmp_path / "data.bin"
+    save_dataset(_plain_dataset(n=20, dz=3, de=4), path)
+    raw = path.read_bytes()
+    assert len(raw) == 1325
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes((raw + bytes(16))[:size])
+    with pytest.raises(ValueError, match="truncated or oversized"):
+        load_dataset(bad)
+    code = cli_main(["score", "--data", str(bad), "--hypothesis", "0,0,0",
+                     "-o", str(tmp_path / "out")])
+    assert code == 2
+    assert "truncated or oversized" in capsys.readouterr().err
 
 
 def test_csv_with_truth_needs_sidecar_target(tmp_path):

@@ -167,11 +167,3 @@ def test_rank_report_deterministic():
     b = rank_report(ds, hs, fast_config(seed=28))
     assert a.scores == b.scores
     assert a.target_rank == b.target_rank
-
-
-def test_rank_report_worker_invariance():
-    ds, target = tiny_dataset(seed=29, noise=0.3)
-    hs = build_hypothesis_set(target, L=6, d_max=15.0, seed=30)
-    a = rank_report(ds, hs, fast_config(seed=31), worker_count=1)
-    b = rank_report(ds, hs, fast_config(seed=31), worker_count=4)
-    assert a.scores == b.scores

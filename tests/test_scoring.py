@@ -180,15 +180,6 @@ def test_batch_order_and_determinism():
         assert np.array_equal(r.hypothesis.coords, np.asarray(h))
 
 
-def test_batch_worker_count_invariance():
-    ds, target = tiny_dataset(seed=14)
-    cfg = fast_config(seed=14)
-    hs = [target.coords + k for k in range(5)]
-    solo = score_batch(ds, hs, cfg, worker_count=1)
-    pooled = score_batch(ds, hs, cfg, worker_count=4)
-    assert [r.score for r in solo] == [r.score for r in pooled]
-
-
 def test_batch_per_hypothesis_seeds_differ():
     ds, target = tiny_dataset(seed=15)
     cfg = fast_config(seed=15)
@@ -208,12 +199,10 @@ def test_batch_error_marker_keeps_going():
     assert reps[2].error is None
 
 
-def test_batch_rejects_empty_and_bad_workers():
+def test_batch_rejects_empty():
     ds, _ = tiny_dataset(seed=17)
     with pytest.raises(ValueError):
         score_batch(ds, [], fast_config())
-    with pytest.raises(ValueError):
-        score_batch(ds, [np.zeros(ds.stimulus_dim)], fast_config(), worker_count=0)
 
 
 def test_denominator_floor_flag():
