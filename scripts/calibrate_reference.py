@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Pre-registered calibration of the reference configuration.
 
-Runs the full reproduction battery (ranking with target, controls,
-no-target comparator, CMA-ES recovery, control recoveries, label RMSE)
-over candidate noise levels, prints per-seed numbers, and writes
-reference_calibration.json next to this script.  The winning noise level
-is committed to cursor/reference.py; this script is the provenance for
-that choice and must not be re-tuned after the fact.
+Runs the reference battery (cursor.reference.run_trial: ranking with
+target, controls, no-target comparator, CMA-ES recovery, control
+recoveries, label RMSE) over candidate noise levels, prints per-seed
+numbers, and writes reference_calibration.json next to this script.  The
+winning noise level is committed to cursor/reference.py; this script is the
+provenance for that choice and must not be re-tuned after the fact.
 
 Usage: python3 scripts/calibrate_reference.py [--noises 3.0,4.0] [--trials 10]
 """
@@ -15,79 +15,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import time
 from pathlib import Path
 
 import numpy as np
 
-from cursor import (
-    CmaConfig,
-    pca_fit,
-    pca_inverse,
-    pca_transform,
-    rank_report,
-    recover_labels,
-    recover_target,
-)
-from cursor.pca import default_latent_k, default_response_k
-from cursor.reference import (
-    REFERENCE,
-    incumbent_improvement,
-    reference_dataset,
-    reference_hypothesis_set,
-    reference_model,
-    reference_score_config,
-    trial_seeds,
-)
-
-
-def run_trial(trial: int, noise: float, model, geometry: dict) -> dict:
-    ds, target = reference_dataset(trial, model=model, **geometry)
-    seeds = trial_seeds(trial)
-    row = {"trial": trial, "noise_sigma": noise, **geometry}
-
-    hset = reference_hypothesis_set(trial, target, include_target=True)
-    hset_wo = reference_hypothesis_set(trial, target, include_target=False)
-
-    for label, kind, shuffled in (("ols", "ols", False),
-                                  ("slr", "ols", True),
-                                  ("dummy", "dummy_mean", False)):
-        cfg = reference_score_config(trial, kind=kind, shuffle_aligned=shuffled)
-        rep = rank_report(ds, hset, cfg)
-        row[f"{label}_r"] = rep.pearson_r
-        row[f"{label}_rank"] = rep.target_rank
-        row[f"{label}_d_top"] = rep.d_top_rank
-
-    cfg = reference_score_config(trial)
-    rep_wo = rank_report(ds, hset_wo, cfg, true_target=target)
-    row["comparator_d_top"] = rep_wo.d_top_rank
-
-    k_e = default_response_k(REFERENCE["response_dim"])
-    k_z = default_latent_k(REFERENCE["latent_dim"])
-    pca_e = pca_fit(ds.responses, k_e)
-    pca_z = pca_fit(ds.stimuli, k_z)
-    proj = pca_inverse(pca_z, pca_transform(pca_z, target.coords))
-    row["pca_floor"] = float(np.linalg.norm(proj - target.coords))
-
-    cma = CmaConfig(dim=k_z, max_evaluations=1000, seed=seeds["cma"])
-    zhat, trace = recover_target(ds, cfg, cma, pca_e, pca_z)
-    row["recovered_distance"] = float(np.linalg.norm(zhat.coords - target.coords))
-    row["recovery_beats_comparator"] = row["recovered_distance"] <= row["comparator_d_top"]
-    row["recovery_beats_with_target"] = row["recovered_distance"] <= row["ols_d_top"]
-    _, metrics = recover_labels(ds, zhat)
-    row["label_rmse"] = metrics["rmse"]
-    row["label_rmse_pct"] = metrics["rmse_pct_of_range"]
-
-    # control recoveries: same budget, degenerate objectives
-    for label, kind, shuffled in (("dummy", "dummy_mean", False), ("slr", "ols", True)):
-        ctl_cfg = reference_score_config(trial, kind=kind, shuffle_aligned=shuffled)
-        z_ctl, tr_ctl = recover_target(ds, ctl_cfg, cma, pca_e, pca_z)
-        row[f"{label}_recovered_distance"] = float(
-            np.linalg.norm(z_ctl.coords - target.coords))
-        _, m_ctl = recover_labels(ds, z_ctl)
-        row[f"{label}_label_rmse"] = m_ctl["rmse"]
-        row[f"{label}_incumbent_improvement"] = incumbent_improvement(tr_ctl)
-    return row
+from cursor.reference import REFERENCE, reference_model, run_trial
 
 
 def summarize(rows: list[dict]) -> dict:
@@ -149,8 +81,7 @@ def main() -> int:
         model = reference_model(noise_sigma=noise)
         rows = []
         for trial in range(args.trials):
-            t0 = time.time()
-            row = run_trial(trial, noise, model, geometry)
+            row, seconds = run_trial(trial, model, **geometry)
             rows.append(row)
             print(f"noise={noise} {tag} trial={trial}: "
                   f"ols R={row['ols_r']:.3f} rank={row['ols_rank']} "
@@ -159,7 +90,7 @@ def main() -> int:
                   f"rec={row['recovered_distance']:.2f} "
                   f"win={row['recovery_beats_comparator']} "
                   f"slr_rank={row['slr_rank']} dummy_rank={row['dummy_rank']} "
-                  f"({time.time()-t0:.0f}s)", flush=True)
+                  f"({sum(seconds.values()):.0f}s)", flush=True)
         summary = summarize(rows)
         out["candidates"][f"{noise:g}"] = {"summary": summary, "trials": rows}
         print(f"== noise={noise} {tag}: {json.dumps(summary, indent=2)}", flush=True)

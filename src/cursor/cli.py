@@ -28,6 +28,7 @@ from .ranking import build_hypothesis_set, rank_report
 from .scoring import ScoreConfig, report_to_json, score
 from .synth import Link, generate_dataset, make_response_model
 from .experiments import (
+    ABLATION_METRICS,
     DEFAULT_PLAN,
     aggregate,
     load_plan,
@@ -213,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", default=None, help="dataset file (instead of a plan)")
     p.add_argument("--thresholds", type=_csv_floats, default=None,
                    help="comma-separated ablation distances")
-    p.add_argument("--mode", choices=["ranking", "optimization"], default=None)
+    p.add_argument("--mode", choices=list(ABLATION_METRICS), default=None)
     p.add_argument("--replicates", type=int, default=None)
     p.add_argument("--L", type=int, default=None)
     p.add_argument("--d-max", type=float, default=None, dest="d_max")
@@ -613,11 +614,14 @@ def _cmd_report(opts: dict) -> int:
                              "distance", "best_distance"])
         wrote.append("fig5_distance_vs_evaluation.csv")
     if ablation_rows:
-        ok = [r for r in ablation_rows if r.get("status") == "ok"]
-        if ok:
-            keys = ("recovered_distance", "best_score") if ok[0].get("mode") == "optimization" \
-                else ("pearson_r", "target_rank", "d_top_rank")
-            table = aggregate(ok, ("threshold", "condition", "estimator"), keys)
+        # each mode is summarized over its own cells with its own metrics
+        table = []
+        for mode, metrics in ABLATION_METRICS.items():
+            ok = [r for r in ablation_rows
+                  if r.get("status") == "ok" and r.get("mode") == mode]
+            if ok:
+                table += aggregate(ok, ("mode", "threshold", "condition", "estimator"), metrics)
+        if table:
             write_table(table, out / "ablation_summary.csv")
             wrote.append("ablation_summary.csv")
     if not wrote:

@@ -32,6 +32,7 @@ from .synth import Link, generate_dataset, make_response_model
 from ._util import derive_rng, derive_seed
 
 __all__ = [
+    "ABLATION_METRICS",
     "AblationCell",
     "ExperimentPlan",
     "PLAN_SCHEMA",
@@ -450,6 +451,13 @@ def run_size_sweep(plan: ExperimentPlan) -> list[SweepCell]:
     return _map_jobs(jobs)
 
 
+# The metrics an ablation summary reports, per ablation mode.
+ABLATION_METRICS = {
+    "ranking": ("pearson_r", "target_rank", "d_top_rank"),
+    "optimization": ("recovered_distance", "best_score"),
+}
+
+
 @dataclass(frozen=True, eq=False)
 class AblationCell:
     target: int
@@ -514,7 +522,7 @@ def run_ablation(plan: ExperimentPlan, mode: str = "ranking") -> list[AblationCe
     with identical seeds.  Thresholds that ablate everything are recorded
     as skipped rather than failing the run.
     """
-    if mode not in ("ranking", "optimization"):
+    if mode not in ABLATION_METRICS:
         raise ValueError("mode must be 'ranking' or 'optimization'")
     reps = _replicate_indices(plan)
     model = None
@@ -697,9 +705,8 @@ def run_plan(plan: ExperimentPlan, out_dir, kinds: tuple[str, ...] = ("sweep",),
         write_jsonl(rows, out_dir / "ablation_rows.jsonl")
         ok = [r for r in rows if r["status"] == "ok"]
         if ok:
-            metrics = ("pearson_r", "target_rank", "d_top_rank") if ablation_mode == "ranking" \
-                else ("recovered_distance", "best_score")
-            summary = aggregate(ok, ("threshold", "condition", "estimator"), metrics)
+            summary = aggregate(ok, ("threshold", "condition", "estimator"),
+                                ABLATION_METRICS[ablation_mode])
             write_table(_stamp_rows(plan, summary), out_dir / "ablation_summary.csv")
         results["ablation"] = rows
     return results

@@ -95,9 +95,6 @@ class TrajectorySpec:
     d_max: float = ACQUISITION_D_MAX
     spacing: str = "logarithmic"
     direction_seed: int = 0
-    # Ceiling on d_max; defaults to the acquisition range but can be raised.
-    max_distance: float = ACQUISITION_D_MAX
-    log_floor: float = LOG_DISTANCE_FLOOR
 
     def __post_init__(self):
         object.__setattr__(self, "target", as_point(self.target))
@@ -105,14 +102,10 @@ class TrajectorySpec:
             raise ValueError("n_points must be >= 1")
         if not (0 <= self.d_min <= self.d_max):
             raise ValueError(f"need 0 <= d_min <= d_max, got [{self.d_min}, {self.d_max}]")
-        if self.d_max > self.max_distance:
-            raise ValueError(
-                f"d_max {self.d_max} exceeds max_distance {self.max_distance}"
-            )
+        if self.d_max > ACQUISITION_D_MAX:
+            raise ValueError(f"d_max {self.d_max} exceeds {ACQUISITION_D_MAX}")
         if self.spacing not in ("uniform", "logarithmic"):
             raise ValueError(f"unknown spacing {self.spacing!r}")
-        if self.log_floor <= 0:
-            raise ValueError("log_floor must be positive")
 
 
 def trajectory_distances(spec: TrajectorySpec) -> np.ndarray:
@@ -126,7 +119,7 @@ def trajectory_distances(spec: TrajectorySpec) -> np.ndarray:
     # rest from a floor up to d_max.
     if n == 1 or hi == 0:
         return np.zeros(n)
-    floor = min(spec.log_floor, hi)
+    floor = min(LOG_DISTANCE_FLOOR, hi)
     return np.concatenate([[0.0], np.geomspace(floor, hi, n - 1)])
 
 

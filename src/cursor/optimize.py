@@ -38,17 +38,16 @@ __all__ = [
 ]
 
 SIGMA_STOP = 1e-10
-BUDGET_MODES = ("evaluations", "generations")
 
 
 @dataclass(frozen=True)
 class CmaConfig:
     """Search-space geometry and budget for one optimizer run.
 
-    bounds are per-coordinate; scalars broadcast.  population_size defaults
-    to 4 + floor(3 ln dim) and sigma0 to one third of the mean bound
-    half-width.  max_evaluations counts objective calls, or generations when
-    budget_mode is "generations".
+    bounds are per-coordinate; scalars broadcast.  The search starts at the
+    box center.  population_size defaults to 4 + floor(3 ln dim) and sigma0
+    to one third of the mean bound half-width.  max_evaluations counts
+    objective calls.
     """
 
     dim: int
@@ -58,8 +57,6 @@ class CmaConfig:
     sigma0: float | None = None
     max_evaluations: int = 1000
     seed: int = 0
-    budget_mode: str = "evaluations"
-    x0: np.ndarray | None = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -80,14 +77,6 @@ class CmaConfig:
             raise ValueError("sigma0 must be positive")
         if self.max_evaluations < 1:
             raise ValueError("max_evaluations must be at least 1")
-        if self.budget_mode not in BUDGET_MODES:
-            raise ValueError(f"budget_mode must be one of {BUDGET_MODES}")
-        if self.x0 is not None:
-            x0 = np.asarray(self.x0, dtype=np.float64).copy()
-            if x0.shape != (self.dim,) or not np.all(np.isfinite(x0)):
-                raise ValueError("x0 must be a finite vector of length dim")
-            x0.setflags(write=False)
-            object.__setattr__(self, "x0", x0)
 
     @property
     def effective_population_size(self) -> int:
@@ -100,12 +89,6 @@ class CmaConfig:
         if self.sigma0 is not None:
             return self.sigma0
         return float(np.mean((self.bounds_hi - self.bounds_lo) / 2.0)) / 3.0
-
-    @property
-    def effective_x0(self) -> np.ndarray:
-        if self.x0 is not None:
-            return np.array(self.x0)
-        return (self.bounds_lo + self.bounds_hi) / 2.0
 
 
 @dataclass(frozen=True)
@@ -210,7 +193,7 @@ def cmaes_maximize(objective, cfg: CmaConfig, distance_fn=None) -> OptimizationT
     chi_n = math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n * n))
 
     rng = derive_rng(cfg.seed, "cma-es")
-    mean = cfg.effective_x0
+    mean = (cfg.bounds_lo + cfg.bounds_hi) / 2.0
     sigma = cfg.effective_sigma0
     cov = np.eye(n)
     ps = np.zeros(n)
@@ -221,19 +204,12 @@ def cmaes_maximize(objective, cfg: CmaConfig, distance_fn=None) -> OptimizationT
             "seed": cfg.seed,
             "population_size": lam,
             "sigma0": sigma,
-            "budget_mode": cfg.budget_mode,
             "max_evaluations": cfg.max_evaluations,
         }
     )
 
-    by_generations = cfg.budget_mode == "generations"
     gen = 0
-    while True:
-        if by_generations:
-            if gen >= cfg.max_evaluations:
-                break
-        elif len(trace.evaluations) >= cfg.max_evaluations:
-            break
+    while len(trace.evaluations) < cfg.max_evaluations:
         if sigma < SIGMA_STOP:
             break
 
@@ -246,7 +222,7 @@ def cmaes_maximize(objective, cfg: CmaConfig, distance_fn=None) -> OptimizationT
             GenRecord(index=gen, sigma=float(sigma), min_eig=float(eigvals[0]), max_eig=float(eigvals[-1]))
         )
 
-        room = lam if by_generations else min(lam, cfg.max_evaluations - len(trace.evaluations))
+        room = min(lam, cfg.max_evaluations - len(trace.evaluations))
         z = rng.standard_normal((lam, n))
         steps = (z * scales) @ basis.T
         cands = np.clip(mean + sigma * steps, cfg.bounds_lo, cfg.bounds_hi)

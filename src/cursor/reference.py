@@ -7,7 +7,8 @@ calibration log with per-seed numbers lives in
 scripts/reference_calibration.json and the constants below must match it.
 Reproduction experiments and the acceptance suite build their trials
 exclusively through these helpers so that every consumer sees the same
-seeds.
+seeds.  run_trial is the one reference battery: the calibration script
+writes its rows to that log, and the acceptance suite checks them against it.
 
 Hypothesis sets keep the full uniform radius (hypothesis_d_max) even though
 acquisition trajectories stay close to the target: candidates are judged
@@ -17,20 +18,27 @@ distance signal is strongest.
 
 from __future__ import annotations
 
+import time
+
+import numpy as np
+
 from .estimators import CvConfig, EstimatorSpec
+from .experiments import recover_labels
 from .latent import ACQUISITION_D_MAX, LatentPoint
-from .ranking import build_hypothesis_set
+from .optimize import CmaConfig, recover_target
+from .pca import default_latent_k, default_response_k, pca_fit, pca_inverse, pca_transform
+from .ranking import build_hypothesis_set, rank_report
 from .scoring import ScoreConfig
 from .synth import Link, ResponseModel, generate_dataset, make_response_model
 from ._util import derive_rng, derive_seed
 
 __all__ = [
     "REFERENCE",
-    "incumbent_improvement",
     "reference_dataset",
     "reference_hypothesis_set",
     "reference_model",
     "reference_score_config",
+    "run_trial",
     "trial_seeds",
 ]
 
@@ -133,7 +141,77 @@ def reference_hypothesis_set(trial: int, target: LatentPoint,
     )
 
 
-def incumbent_improvement(trace) -> float:
+# label -> (estimator kind, shuffle_aligned): the OLS objective and its two
+# controls, a shuffled-aligned OLS and a dummy mean that carry no signal.
+_CONDITIONS = {
+    "ols": ("ols", False),
+    "slr": ("ols", True),
+    "dummy": ("dummy_mean", False),
+}
+
+
+def run_trial(trial: int, model: ResponseModel | None = None,
+              **geometry) -> tuple[dict, dict]:
+    """One trial of the reference battery behind acceptance criteria 6, 7 and 9.
+
+    Ranks the with-target hypothesis set under OLS and both controls, ranks
+    the no-target set under OLS as the comparator, recovers the target by
+    CMA-ES over PCA-reduced coordinates under OLS and both controls, and
+    reconstructs the distance labels from each recovered point.  geometry
+    overrides reference_dataset's acquisition geometry (trajectories,
+    points, d_max) and is echoed in the row.
+
+    Returns (row, seconds): row is the trial record of
+    scripts/reference_calibration.json; seconds holds the wall time of
+    "rank" (dataset generation and the three with-target rankings) and
+    "recover" (everything after).
+    """
+    model = reference_model() if model is None else model
+    t0 = time.perf_counter()
+    ds, target = reference_dataset(trial, model=model, **geometry)
+    row = {"trial": trial, "noise_sigma": model.noise_sigma, **geometry}
+
+    def config(label):
+        kind, shuffled = _CONDITIONS[label]
+        return reference_score_config(trial, kind=kind, shuffle_aligned=shuffled)
+
+    hset = reference_hypothesis_set(trial, target, include_target=True)
+    for label in _CONDITIONS:
+        rep = rank_report(ds, hset, config(label))
+        row[f"{label}_r"] = rep.pearson_r
+        row[f"{label}_rank"] = rep.target_rank
+        row[f"{label}_d_top"] = rep.d_top_rank
+    t_rank = time.perf_counter()
+
+    hset_wo = reference_hypothesis_set(trial, target, include_target=False)
+    rep_wo = rank_report(ds, hset_wo, config("ols"), true_target=target)
+    row["comparator_d_top"] = rep_wo.d_top_rank
+
+    k_z = default_latent_k(REFERENCE["latent_dim"])
+    pca_e = pca_fit(ds.responses, default_response_k(REFERENCE["response_dim"]))
+    pca_z = pca_fit(ds.stimuli, k_z)
+    proj = pca_inverse(pca_z, pca_transform(pca_z, target.coords))
+    row["pca_floor"] = float(np.linalg.norm(proj - target.coords))
+
+    cma = CmaConfig(dim=k_z, max_evaluations=1000, seed=trial_seeds(trial)["cma"])
+    for label in _CONDITIONS:
+        zhat, trace = recover_target(ds, config(label), cma, pca_e, pca_z)
+        distance = float(np.linalg.norm(zhat.coords - target.coords))
+        _, metrics = recover_labels(ds, zhat)
+        if label == "ols":
+            row["recovered_distance"] = distance
+            row["recovery_beats_comparator"] = distance <= row["comparator_d_top"]
+            row["recovery_beats_with_target"] = distance <= row["ols_d_top"]
+            row["label_rmse"] = metrics["rmse"]
+            row["label_rmse_pct"] = metrics["rmse_pct_of_range"]
+        else:
+            row[f"{label}_recovered_distance"] = distance
+            row[f"{label}_label_rmse"] = metrics["rmse"]
+            row[f"{label}_incumbent_improvement"] = _incumbent_improvement(trace)
+    return row, {"rank": t_rank - t0, "recover": time.perf_counter() - t_rank}
+
+
+def _incumbent_improvement(trace) -> float:
     """Relative drop, (first - last) / first, of the true distance of a trace's
     best-so-far finite candidate; near 0 when the objective carries no signal."""
     first_d, best_d, best_s = None, None, float("-inf")

@@ -2,11 +2,16 @@
 
 Each criterion is one test that prints a single ``[criterion N] PASS/FAIL``
 line with the measured numbers before asserting, so running this file with
-``pytest -s`` yields a scoreboard.  Criteria 6-9 share one session-scoped
-battery of ten reference trials; everything else is self-contained.
+``pytest -s`` yields a scoreboard.  Criteria 6, 7 and 9 share one
+session-scoped battery of ten reference trials (cursor.reference.run_trial)
+and criterion 8 has its own ablation battery; everything else is
+self-contained.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -24,7 +29,6 @@ from cursor.dataset import (
     window_epoch,
 )
 from cursor.estimators import CvConfig, EstimatorSpec, solve_centered
-from cursor.experiments import recover_labels
 from cursor.optimize import CmaConfig, cmaes_maximize, recover_target
 from cursor.pca import (
     default_latent_k,
@@ -33,19 +37,19 @@ from cursor.pca import (
     pca_inverse,
     pca_transform,
 )
-from cursor.ranking import rank_report, target_rank
+from cursor.ranking import target_rank
 from cursor.reference import (
     REFERENCE,
-    incumbent_improvement,
     reference_dataset,
-    reference_hypothesis_set,
     reference_model,
     reference_score_config,
+    run_trial,
     trial_seeds,
 )
 from cursor.scoring import ScoreConfig, score
 
-CALIBRATION_FILE = Path(__file__).resolve().parent.parent / "scripts" / "reference_calibration.json"
+ROOT = Path(__file__).resolve().parent.parent
+CALIBRATION_FILE = ROOT / "scripts" / "reference_calibration.json"
 
 
 def _verdict(n: int, ok: bool, detail: str) -> str:
@@ -213,60 +217,19 @@ def test_criterion_5_random_baseline_anchors():
 
 @pytest.fixture(scope="session")
 def reference_battery():
-    """Per-trial rank reports, recoveries, and controls at the pinned config."""
-    model = reference_model()
-    k_e = default_response_k(REFERENCE["response_dim"])
-    k_z = default_latent_k(REFERENCE["latent_dim"])
-    rows = []
+    """The ten reference trials' calibration-log rows, with the summed wall
+    seconds of their ranking (t_rank) and recovery (t_opt) halves."""
+    rows, t_rank, t_opt = [], 0.0, 0.0
     for trial in range(REFERENCE["n_trials"]):
-        seeds = trial_seeds(trial)
-        t0 = time.perf_counter()
-        ds, target = reference_dataset(trial, model=model)
-        hset = reference_hypothesis_set(trial, target, include_target=True)
-        row = {"trial": trial}
-        for label, kind, shuffled in (("ols", "ols", False),
-                                      ("slr", "ols", True),
-                                      ("dummy", "dummy_mean", False)):
-            cfg = reference_score_config(trial, kind=kind, shuffle_aligned=shuffled)
-            rep = rank_report(ds, hset, cfg)
-            row[f"{label}_r"] = rep.pearson_r
-            row[f"{label}_rank"] = rep.target_rank
-            row[f"{label}_d_top"] = rep.d_top_rank
-        row["t_rank"] = time.perf_counter() - t0
-
-        # optimization-style evaluation: candidate set without the target,
-        # then CMA-ES recovery plus a dummy-objective control on the same data
-        t0 = time.perf_counter()
-        cfg = reference_score_config(trial)
-        hset_wo = reference_hypothesis_set(trial, target, include_target=False)
-        rep_wo = rank_report(ds, hset_wo, cfg, true_target=target)
-        row["comparator_d_top"] = rep_wo.d_top_rank
-        pca_e = pca_fit(ds.responses, k_e)
-        pca_z = pca_fit(ds.stimuli, k_z)
-        cma = CmaConfig(dim=k_z, max_evaluations=1000, seed=seeds["cma"])
-        zhat, _ = recover_target(ds, cfg, cma, pca_e, pca_z)
-        row["recovered_distance"] = float(np.linalg.norm(zhat.coords - target.coords))
-        row["recovery_beats_comparator"] = row["recovered_distance"] <= row["comparator_d_top"]
-        row["recovery_beats_with_target"] = row["recovered_distance"] <= row["ols_d_top"]
-        dummy_cfg = reference_score_config(trial, kind="dummy_mean")
-        z_dummy, tr_dummy = recover_target(ds, dummy_cfg, cma, pca_e, pca_z)
-        row["dummy_incumbent_improvement"] = incumbent_improvement(tr_dummy)
-        row["t_opt"] = time.perf_counter() - t0
-
-        slr_cfg = reference_score_config(trial, kind="ols", shuffle_aligned=True)
-        z_slr, _ = recover_target(ds, slr_cfg, cma, pca_e, pca_z)
-        for label, z in (("label", zhat), ("dummy_label", z_dummy),
-                         ("slr_label", z_slr)):
-            _, metrics = recover_labels(ds, z)
-            row[f"{label}_rmse"] = metrics["rmse"]
-            row[f"{label}_rmse_pct"] = metrics["rmse_pct_of_range"]
-            row[f"{label}_bound"] = float(np.linalg.norm(z.coords - target.coords))
+        row, seconds = run_trial(trial)
         rows.append(row)
-    return rows
+        t_rank += seconds["rank"]
+        t_opt += seconds["recover"]
+    return rows, t_rank, t_opt
 
 
 def test_criterion_6_reference_ranking(reference_battery):
-    rows = reference_battery
+    rows, runtime, _ = reference_battery
     mean = lambda key: float(np.mean([r[key] for r in rows]))
     ols_r = mean("ols_r")
     ols_rank = mean("ols_rank")
@@ -278,7 +241,6 @@ def test_criterion_6_reference_ranking(reference_battery):
     # a constant-score control has no defined correlation; that counts as null
     dummy_rs = [r["dummy_r"] for r in rows if r["dummy_r"] is not None]
     dummy_r_ok = all(abs(v) <= 0.15 for v in dummy_rs)
-    runtime = sum(r["t_rank"] for r in rows)
     ok = (ols_r <= -0.6 and ols_rank <= 10.0 and ols_d_top <= d_cap
           and abs(slr_r) <= 0.15 and dummy_r_ok
           and 24.0 <= slr_rank <= 37.0 and 24.0 <= dummy_rank <= 37.0
@@ -293,10 +255,9 @@ def test_criterion_6_reference_ranking(reference_battery):
 
 
 def test_criterion_7_reference_recovery(reference_battery):
-    rows = reference_battery
+    rows, _, runtime = reference_battery
     wins = sum(r["recovered_distance"] <= r["comparator_d_top"] for r in rows)
     worst_improvement = max(r["dummy_incumbent_improvement"] for r in rows)
-    runtime = sum(r["t_opt"] for r in rows)
     ok = wins >= 8 and worst_improvement < 0.10 and runtime < 900.0
     mean_rec = float(np.mean([r["recovered_distance"] for r in rows]))
     mean_cmp = float(np.mean([r["comparator_d_top"] for r in rows]))
@@ -350,12 +311,12 @@ def test_criterion_8_ablation_hurts_recovery(ablation_battery):
 
 
 def test_criterion_9_label_recovery(reference_battery):
-    rows = reference_battery
+    rows, _, _ = reference_battery
     under_5pct = sum(r["label_rmse_pct"] < 5.0 for r in rows)
     beats = sum(r["label_rmse"] < r["dummy_label_rmse"]
                 and r["label_rmse"] < r["slr_label_rmse"] for r in rows)
-    bound_ok = all(r[f"{lab}_rmse"] <= r[f"{lab}_bound"] + 1e-9
-                   for r in rows for lab in ("label", "dummy_label", "slr_label"))
+    bound_ok = all(r[f"{pre}label_rmse"] <= r[f"{pre}recovered_distance"] + 1e-9
+                   for r in rows for pre in ("", "dummy_", "slr_"))
     worst_pct = max(r["label_rmse_pct"] for r in rows)
     ok = under_5pct == 10 and beats == 10 and bound_ok
     detail = (f"label rmse < 5% of range on {under_5pct}/10 (worst "
@@ -456,19 +417,27 @@ def test_reference_matches_committed_calibration():
     assert log["reference"]["d_max"] == REFERENCE["d_max"]
 
 
+def test_calibration_script_starts():
+    # the script takes its battery from the package, so a broken import shows here
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "calibrate_reference.py"), "--help"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_battery_matches_committed_calibration(reference_battery):
-    # every field the battery shares with the calibration log: integers,
-    # booleans and nulls exactly, floats to the last few bits
+    # every field of every logged trial: integers, booleans and nulls
+    # exactly, floats to the last few bits
+    rows, _, _ = reference_battery
     with open(CALIBRATION_FILE) as fh:
         log = json.load(fh)
     trials = log["candidates"][f"{REFERENCE['noise_sigma']:g}"]["trials"]
-    assert len(trials) == len(reference_battery)
+    assert len(trials) == len(rows)
     mismatches = []
-    for row, logged in zip(reference_battery, trials):
-        shared = row.keys() & logged.keys()
-        assert {"ols_rank", "slr_rank", "dummy_rank", "recovered_distance",
-                "recovery_beats_comparator", "recovery_beats_with_target"} <= shared
-        for key in sorted(shared):
+    for row, logged in zip(rows, trials):
+        assert row.keys() == logged.keys()
+        for key in sorted(logged):
             got, want = row[key], logged[key]
             if isinstance(want, float):
                 ok = abs(got - want) <= 1e-12 * max(1.0, abs(want))

@@ -317,6 +317,38 @@ def test_report_merges_rank_runs(tmp_path, data_csv):
     assert float(cols["pearson_r_mean"]) == pytest.approx((r1 + r2) / 2, rel=1e-10)
 
 
+def test_report_summarizes_each_ablation_mode_apart(tmp_path):
+    data = tmp_path / "gen"
+    assert main(["generate", "--trajectories", "20", "--points", "5",
+                 "--latent-dim", "6", "--response-dim", "10", "--k-signal", "2",
+                 "--nuisance-rank", "2", "--d-max", "9", "--seed", "3",
+                 "-o", str(data)]) == 0
+    ablate = ["ablate", "--data", str(data / "dataset.csv"), "--thresholds", "1",
+              "--folds", "4", "--seed", "3"]
+    ab_rank, ab_opt = tmp_path / "ab_rank", tmp_path / "ab_opt"
+    assert main(ablate + ["--mode", "ranking", "--L", "6", "--d-max", "9",
+                          "-o", str(ab_rank)]) == 0
+    assert main(ablate + ["--mode", "optimization", "--budget", "30", "--bounds", "9",
+                          "-o", str(ab_opt)]) == 0
+
+    tables = []
+    for runs in ((ab_rank, ab_opt), (ab_opt, ab_rank)):
+        rep = tmp_path / f"rep_{runs[0].name}"
+        assert main(["report", *map(str, runs), "-o", str(rep)]) == 0
+        tables.append((rep / "ablation_summary.csv").read_text())
+    assert tables[0] == tables[1]
+
+    header, *lines = tables[0].splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    assert len(rows) == 4  # 2 modes x (ablated, control)
+    assert all(r["n"] == "1" for r in rows)
+    assert sorted(r["mode"] for r in rows) == ["optimization"] * 2 + ["ranking"] * 2
+    means = {"ranking": {"pearson_r_mean", "target_rank_mean", "d_top_rank_mean"},
+             "optimization": {"recovered_distance_mean", "best_score_mean"}}
+    for r in rows:
+        assert {k for k, v in r.items() if k.endswith("_mean") and v} == means[r["mode"]]
+
+
 def test_report_includes_trace(tmp_path, optimize_dir):
     rep = tmp_path / "rep"
     assert main(["report", str(optimize_dir), "-o", str(rep)]) == 0

@@ -107,8 +107,8 @@ def test_log_spacing_pins_zero_and_uses_floor():
 
 def test_log_spacing_ladder_shape():
     """Log ladders concentrate points near the target: gaps grow monotonically."""
-    spec = TrajectorySpec(LatentPoint(np.zeros(2)), n_points=8, d_min=0.0, d_max=46.2,
-                          spacing="logarithmic", max_distance=46.2)
+    spec = TrajectorySpec(LatentPoint(np.zeros(2)), n_points=8, d_min=0.0,
+                          d_max=ACQUISITION_D_MAX, spacing="logarithmic")
     d = trajectory_distances(spec)
     gaps = np.diff(d)
     assert np.all(gaps > 0)

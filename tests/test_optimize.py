@@ -55,14 +55,6 @@ def test_budget_exactly_respected():
     assert len(trace.evaluations) == 137
 
 
-def test_generation_budget_mode():
-    cfg = CmaConfig(dim=4, max_evaluations=12, seed=0, budget_mode="generations")
-    trace = cmaes_maximize(_sphere_objective(np.zeros(4)), cfg)
-    assert len(trace.generations) == 12
-    lam = cfg.effective_population_size
-    assert len(trace.evaluations) == 12 * lam
-
-
 def test_candidates_respect_bounds():
     lo, hi = -2.0, 3.0
     cfg = CmaConfig(dim=3, bounds_lo=lo, bounds_hi=hi, max_evaluations=300, seed=1)
@@ -155,17 +147,12 @@ def test_config_validation():
         CmaConfig(dim=2, population_size=1)
     with pytest.raises(ValueError):
         CmaConfig(dim=2, sigma0=0.0)
-    with pytest.raises(ValueError):
-        CmaConfig(dim=2, budget_mode="wallclock")
-    with pytest.raises(ValueError):
-        CmaConfig(dim=2, x0=np.zeros(3))
 
 
 def test_default_population_and_sigma():
     cfg = CmaConfig(dim=10)
     assert cfg.effective_population_size == 4 + int(np.floor(3 * np.log(10)))
     assert cfg.effective_sigma0 == pytest.approx(15.0 / 3.0)
-    assert np.allclose(cfg.effective_x0, 0.0)
 
 
 def test_trace_jsonl_and_summary():
