@@ -57,7 +57,6 @@ ESTIMATOR_DEFAULTS = {
     "folds": DEFAULT_PLAN["cv"]["n_folds"],
     "train_fraction": DEFAULT_PLAN["cv"]["train_fraction"],
     "shuffles": DEFAULT_PLAN["scoring"]["n_shuffles"],
-    "ratio_mode": DEFAULT_PLAN["scoring"]["ratio_mode"],
 }
 HYPOTHESIS_SET_DEFAULTS = {
     "L": _HYPOTHESES["count"],
@@ -141,8 +140,6 @@ def _add_estimator_flags(p: argparse.ArgumentParser, with_shuffle_aligned=True):
     p.add_argument("--train-fraction", type=float, default=None, dest="train_fraction")
     p.add_argument("--shuffles", type=int, default=None,
                    help="number of control permutations averaged per fold")
-    p.add_argument("--ratio-mode", choices=["ratio_of_mean_rmses", "mean_of_fold_ratios"],
-                   default=None, dest="ratio_mode")
     if with_shuffle_aligned:
         p.add_argument("--shuffle-aligned", action=argparse.BooleanOptionalAction,
                        default=None, dest="shuffle_aligned",
@@ -251,6 +248,11 @@ def _resolve(args: argparse.Namespace) -> dict:
                     f"manifest is for '{config.get('subcommand')}', not '{args.command}'"
                 )
             config = config["options"]
+        # Older manifests name the formula, which is now the only one; a
+        # replay that asked for another would silently score differently.
+        if config.get("ratio_mode", "ratio_of_mean_rmses") != "ratio_of_mean_rmses":
+            raise ValueError(f"ratio_mode {config['ratio_mode']!r} is not supported; "
+                             "S(h) is the ratio of the mean RMSEs")
 
     opts = {"command": args.command}
     table = {**GLOBAL_DEFAULTS, **COMMAND_DEFAULTS[args.command]}
@@ -301,11 +303,7 @@ def _scoring_sections(opts: dict) -> dict:
             "shuffle_aligned": bool(opts.get("shuffle_aligned", False)),
         }],
         "cv": {"n_folds": opts["folds"], "train_fraction": opts["train_fraction"]},
-        "scoring": {
-            "n_shuffles": opts["shuffles"],
-            "ratio_mode": opts["ratio_mode"],
-            "denom_floor": DEFAULT_PLAN["scoring"]["denom_floor"],
-        },
+        "scoring": {"n_shuffles": opts["shuffles"]},
     }
 
 
@@ -523,7 +521,8 @@ def _cmd_recover(opts: dict) -> int:
     with open(zhat_path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if isinstance(raw, dict):
-        coords = raw.get("coords", raw.get("recovered_point", raw.get("best_point")))
+        # summary.json's best_point is in CMA-ES reduced coordinates, not latent ones
+        coords = raw.get("coords", raw.get("recovered_point"))
     else:
         coords = raw
     if coords is None:
@@ -542,8 +541,9 @@ def _cmd_recover(opts: dict) -> int:
     if metrics is None:
         print(f"reconstructed {len(rows)} labels (no hidden truth, rmse omitted)")
     else:
-        print(f"reconstructed {len(rows)} labels, rmse {metrics['rmse']:.12g} "
-              f"({metrics['rmse_pct_of_range']:.3g}% of range)")
+        pct = metrics["rmse_pct_of_range"]
+        pct_txt = "undefined: zero distance range" if pct is None else f"{pct:.3g}% of range"
+        print(f"reconstructed {len(rows)} labels, rmse {metrics['rmse']:.12g} ({pct_txt})")
     return 0
 
 

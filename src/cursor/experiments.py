@@ -27,7 +27,7 @@ from .latent import ACQUISITION_D_MAX, LatentPoint, as_point
 from .optimize import CmaConfig, recover_target
 from .pca import default_latent_k, default_response_k, pca_fit
 from .ranking import RankReport, build_hypothesis_set, rank_report
-from .scoring import ScoreConfig
+from .scoring import DENOM_FLOOR, ScoreConfig
 from .synth import Link, generate_dataset, make_response_model
 from ._util import derive_rng, derive_seed
 
@@ -151,8 +151,10 @@ PLAN_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "n_shuffles": {"type": "integer", "minimum": 1},
-                "ratio_mode": {"enum": ["ratio_of_mean_rmses", "mean_of_fold_ratios"]},
-                "denom_floor": {"type": "number", "exclusiveMinimum": 0},
+                # Plans written before S(h) had one formula spell these out;
+                # they still load, keep their hash, and score as they did.
+                "ratio_mode": {"const": "ratio_of_mean_rmses"},
+                "denom_floor": {"const": DENOM_FLOOR},
             },
         },
         "targets": {"type": "integer", "minimum": 1},
@@ -192,7 +194,7 @@ DEFAULT_PLAN = {
         "reduce_latents": None,
     },
     "cv": {"n_folds": 10, "train_fraction": 0.9},
-    "scoring": {"n_shuffles": 1, "ratio_mode": "ratio_of_mean_rmses", "denom_floor": 1e-12},
+    "scoring": {"n_shuffles": 1},
     "targets": 5,
     "replicates": 3,
     "master_seed": 0,
@@ -338,18 +340,33 @@ def replicate_dataset(plan: ExperimentPlan, target_idx: int, variant_idx: int,
     )
 
 
+def _replicate_indices(plan: ExperimentPlan):
+    return [(t, v) for t in range(plan.targets) for v in range(plan.replicates)]
+
+
+def _replicate_datasets(plan: ExperimentPlan) -> dict:
+    """replicate_dataset of every replicate cell, keyed by (target, variant).
+
+    A file source is the same dataset for every cell, so it is read once.
+    """
+    reps = _replicate_indices(plan)
+    src = plan.raw["dataset"]
+    if "file" in src:
+        ds = load_dataset(src["file"])
+        return {rep: ds for rep in reps}
+    model = _generator_model(plan)
+    return {(t, v): replicate_dataset(plan, t, v, model=model) for t, v in reps}
+
+
 def score_config(sections: dict, spec: EstimatorSpec, shuffle_aligned: bool,
                  cv_seed: int, perm_seed: int) -> ScoreConfig:
     """The ScoreConfig of one cell, from a plan's "cv" and "scoring" sections."""
     cv = sections["cv"]
-    sc = sections["scoring"]
     return ScoreConfig(
         estimator=spec,
         cv=CvConfig(n_folds=cv["n_folds"], train_fraction=cv["train_fraction"], seed=cv_seed),
         perm_seed=perm_seed,
-        denom_floor=sc["denom_floor"],
-        ratio_mode=sc["ratio_mode"],
-        n_shuffles=sc["n_shuffles"],
+        n_shuffles=sections["scoring"]["n_shuffles"],
         shuffle_aligned=shuffle_aligned,
     )
 
@@ -392,10 +409,6 @@ class SweepCell:
         }
 
 
-def _replicate_indices(plan: ExperimentPlan):
-    return [(t, v) for t in range(plan.targets) for v in range(plan.replicates)]
-
-
 def _map_jobs(jobs):
     # A named function, not an inline loop: perfbench/tracer.py wraps this
     # name to time each cell (experiments.cells, experiments.cell_s_p50).
@@ -409,13 +422,7 @@ def run_size_sweep(plan: ExperimentPlan) -> list[SweepCell]:
     derived seeds; smaller sizes evaluate a seeded uniform subsample.
     """
     n_folds = plan.raw["cv"]["n_folds"]
-    reps = _replicate_indices(plan)
-    datasets = {}
-    model = None
-    if "generator" in plan.raw["dataset"]:
-        model = _generator_model(plan)
-    for t, v in reps:
-        datasets[(t, v)] = replicate_dataset(plan, t, v, model=model)
+    datasets = _replicate_datasets(plan)
 
     sizes = plan.raw["sizes"]
     for (t, v), ds in datasets.items():
@@ -442,9 +449,8 @@ def run_size_sweep(plan: ExperimentPlan) -> list[SweepCell]:
                              seeds=seeds, report=rep)
         return job
 
-    for t, v in reps:
-        ds_n = datasets[(t, v)].n
-        cell_sizes = sizes if sizes is not None else default_size_ladder(ds_n, n_folds)
+    for (t, v), ds in datasets.items():
+        cell_sizes = sizes if sizes is not None else default_size_ladder(ds.n, n_folds)
         for size in cell_sizes:
             for key, spec, shuffled in plan.estimator_entries():
                 jobs.append(make_job(t, v, size, key, spec, shuffled))
@@ -524,16 +530,9 @@ def run_ablation(plan: ExperimentPlan, mode: str = "ranking") -> list[AblationCe
     """
     if mode not in ABLATION_METRICS:
         raise ValueError("mode must be 'ranking' or 'optimization'")
-    reps = _replicate_indices(plan)
-    model = None
-    if "generator" in plan.raw["dataset"]:
-        model = _generator_model(plan)
-    datasets = {}
-    for t, v in reps:
-        ds = replicate_dataset(plan, t, v, model=model)
-        if ds.truth is None:
-            raise ValueError("ablation requires a dataset with hidden truth")
-        datasets[(t, v)] = ds
+    datasets = _replicate_datasets(plan)
+    if any(ds.truth is None for ds in datasets.values()):
+        raise ValueError("ablation requires a dataset with hidden truth")
 
     jobs = []
 
@@ -581,7 +580,7 @@ def run_ablation(plan: ExperimentPlan, mode: str = "ranking") -> list[AblationCe
             return cells
         return job
 
-    for t, v in reps:
+    for t, v in datasets:
         for thr in plan.raw["ablation_thresholds"]:
             for key, spec, shuffled in plan.estimator_entries():
                 jobs.append(make_job(t, v, float(thr), key, spec, shuffled))

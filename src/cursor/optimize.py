@@ -114,22 +114,23 @@ class OptimizationTrace:
     generations: list[GenRecord] = field(default_factory=list)
     best_point: np.ndarray | None = None
     best_score: float = -np.inf
+    best_distance: float | None = None  # the best point's distance to the target
     seeds: dict = field(default_factory=dict)
 
     def record(self, point: np.ndarray, score: float, distance: float | None):
         finite = math.isfinite(score)
-        self.evaluations.append(
-            EvalRecord(
-                index=len(self.evaluations),
-                point=np.array(point),
-                score=float(score),
-                distance=None if distance is None else float(distance),
-                nonfinite=not finite,
-            )
+        ev = EvalRecord(
+            index=len(self.evaluations),
+            point=np.array(point),
+            score=float(score),
+            distance=None if distance is None else float(distance),
+            nonfinite=not finite,
         )
+        self.evaluations.append(ev)
         if finite and score > self.best_score:
-            self.best_score = float(score)
-            self.best_point = np.array(point)
+            self.best_score = ev.score
+            self.best_point = ev.point
+            self.best_distance = ev.distance
 
 
 def trace_to_jsonl(trace: OptimizationTrace) -> str:
@@ -155,16 +156,7 @@ def trace_summary(trace: OptimizationTrace) -> dict:
         "generations": len(trace.generations),
         "best_score": None if trace.best_point is None else trace.best_score,
         "best_point": None if trace.best_point is None else [float(v) for v in trace.best_point],
-        "best_distance": next(
-            (
-                ev.distance
-                for ev in trace.evaluations
-                if trace.best_point is not None
-                and not ev.nonfinite
-                and ev.score == trace.best_score
-            ),
-            None,
-        ),
+        "best_distance": trace.best_distance,
         "final_sigma": trace.generations[-1].sigma if trace.generations else None,
         "seeds": dict(trace.seeds),
     }

@@ -14,7 +14,7 @@ import numpy as np
 
 from ._util import derive_rng, derive_seed
 from .latent import LatentPoint, as_point, point_at_distance, similarity
-from .scoring import ScoreConfig, ScoreReport, score_batch
+from .scoring import ScoreConfig, score_batch
 
 __all__ = [
     "HypothesisSet",
@@ -142,7 +142,6 @@ class RankReport:
     top_index: int
     hypothesis_distances: tuple[float, ...]
     seeds: dict
-    reports: tuple[ScoreReport, ...] = ()
 
 
 def rank_report(ds, hset: HypothesisSet, cfg: ScoreConfig,
@@ -182,5 +181,4 @@ def rank_report(ds, hset: HypothesisSet, cfg: ScoreConfig,
             "perm_seed": int(cfg.perm_seed),
             "tie_seed": int(tie_seed),
         },
-        reports=tuple(reports),
     )

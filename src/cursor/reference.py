@@ -214,12 +214,7 @@ def run_trial(trial: int, model: ResponseModel | None = None,
 def _incumbent_improvement(trace) -> float:
     """Relative drop, (first - last) / first, of the true distance of a trace's
     best-so-far finite candidate; near 0 when the objective carries no signal."""
-    first_d, best_d, best_s = None, None, float("-inf")
-    for ev in trace.evaluations:
-        if not ev.nonfinite and ev.score > best_s:
-            best_s, best_d = ev.score, ev.distance
-            if first_d is None:
-                first_d = ev.distance
+    first_d = next((ev.distance for ev in trace.evaluations if not ev.nonfinite), None)
     if first_d in (None, 0.0):
         return 0.0
-    return float((first_d - best_d) / first_d)
+    return float((first_d - trace.best_distance) / first_d)

@@ -4,7 +4,7 @@ For a hypothesis h, pair every response with its induced distance d_i^h,
 cross-validate an estimator on the aligned pairs and again on pairs whose
 responses were shuffled by a seeded permutation, and return
 
-    S(h) = rmse_shuffled / max(rmse_aligned, denom_floor).
+    S(h) = rmse_shuffled / max(rmse_aligned, DENOM_FLOOR).
 
 Both branches consume identical fold splits, so an estimator that ignores
 responses (dummy) scores exactly 1.  A HypothesisScorer caches everything
@@ -49,8 +49,6 @@ __all__ = [
     "score_batch",
 ]
 
-RATIO_MODES = ("ratio_of_mean_rmses", "mean_of_fold_ratios")
-
 # A fold is solved from its Gram matrix only when the standardized Gram's
 # smallest eigenvalue exceeds this fraction of its largest.  Forming the Gram
 # squares the condition number of the rows, so its rounding grows like
@@ -58,24 +56,22 @@ RATIO_MODES = ("ratio_of_mean_rmses", "mean_of_fold_ratios")
 # keeps S(h) within 1e-12 of the SVD of the rows.
 GRAM_MIN_EIG_RATIO = 1e-3
 
+# Only an exact aligned fit (rmse_aligned ~ eps) reaches this floor; it keeps
+# S(h) finite there, and the report flags it as denominator_floored.
+DENOM_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class ScoreConfig:
     estimator: EstimatorSpec = field(default_factory=EstimatorSpec)
     cv: CvConfig = field(default_factory=CvConfig)
     perm_seed: int = 0
-    denom_floor: float = 1e-12
-    ratio_mode: str = "ratio_of_mean_rmses"
     # Average the shuffled RMSE over this many independent permutations.
     n_shuffles: int = 1
     # Pre-shuffle the "aligned" branch too (the always-shuffling control).
     shuffle_aligned: bool = False
 
     def __post_init__(self):
-        if self.denom_floor <= 0:
-            raise ValueError("denom_floor must be positive")
-        if self.ratio_mode not in RATIO_MODES:
-            raise ValueError(f"ratio_mode must be one of {RATIO_MODES}")
         if self.n_shuffles < 1:
             raise ValueError("n_shuffles must be >= 1")
 
@@ -297,20 +293,11 @@ class HypothesisScorer:
             float(np.mean([run[f] for run in shuffled_runs])) for f in range(len(self.splits))
         ]
 
-        floor = self.cfg.denom_floor
         rmse_aligned = float(np.mean(per_fold_aligned))
         rmse_shuffled = float(np.mean(per_fold_shuffled))
-        if self.cfg.ratio_mode == "ratio_of_mean_rmses":
-            floored = rmse_aligned < floor
-            value = rmse_shuffled / max(rmse_aligned, floor)
-        else:
-            floored = any(a < floor for a in per_fold_aligned)
-            value = float(
-                np.mean([s / max(a, floor) for s, a in zip(per_fold_shuffled, per_fold_aligned)])
-            )
         return ScoreReport(
             hypothesis=h,
-            score=value,
+            score=rmse_shuffled / max(rmse_aligned, DENOM_FLOOR),
             rmse_aligned=rmse_aligned,
             rmse_shuffled=rmse_shuffled,
             per_fold_aligned=tuple(per_fold_aligned),
@@ -318,7 +305,7 @@ class HypothesisScorer:
             seeds=dict(self.seeds),
             splits_digest_aligned=self._digest_aligned,
             splits_digest_shuffled=self._digest_shuffled,
-            denominator_floored=bool(floored),
+            denominator_floored=rmse_aligned < DENOM_FLOOR,
             degenerate_distances=bool(np.all(d == d[0])),
         )
 

@@ -4,13 +4,19 @@ Commands run in-process through main(argv) so exit codes and outputs are
 checked without subprocess overhead.
 """
 
+import argparse
 import json
+import re
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
-from cursor.cli import main
+from cursor import experiments
+from cursor.cli import build_parser, main
 from cursor.dataset import load_dataset
+from cursor.experiments import load_plan, plan_hash
 
 GEN_ARGS = [
     "generate",
@@ -168,6 +174,49 @@ def test_manifest_with_workers_key_replays(tmp_path, data_csv, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("source,scoring,accepted", [
+    ("manifest", {"ratio_mode": "ratio_of_mean_rmses"}, True),
+    ("manifest", {"ratio_mode": "mean_of_fold_ratios"}, False),
+    ("plan", {"ratio_mode": "ratio_of_mean_rmses", "denom_floor": 1e-12}, True),
+    ("plan", {"ratio_mode": "mean_of_fold_ratios"}, False),
+    ("plan", {"denom_floor": 1e-6}, False),
+], ids=["manifest-same-formula", "manifest-other-formula", "plan-same-formula",
+        "plan-other-formula", "plan-other-floor"])
+def test_older_formula_settings_replay_or_refuse(tmp_path, data_csv, capsys,
+                                                 source, scoring, accepted):
+    # manifests and plans from before S(h) had one formula name it; they
+    # reproduce the run when they name that formula and are refused otherwise
+    run, again = tmp_path / "run", tmp_path / "again"
+    if source == "manifest":
+        assert rank_run(data_csv, run) == 0
+        manifest = json.loads((run / "manifest.json").read_text())
+        manifest["options"].update(scoring)
+        old = tmp_path / "old_manifest.json"
+        old.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        code = main(["rank", "--config", str(old), "-o", str(again)])
+        if accepted:
+            assert code == 0
+            for name in ("rank.csv", "rank_rows.jsonl", "rank_detail.jsonl"):
+                assert (run / name).read_bytes() == (again / name).read_bytes()
+        else:
+            assert code == 2
+    else:
+        assert rank_run(data_csv, run, ("--sizes", "10,12", "--replicates", "1")) == 0
+        raw = json.loads((run / "plan.json").read_text())
+        raw["scoring"].update(scoring)
+        old = tmp_path / "old_plan.json"
+        old.write_text(json.dumps(raw, indent=2, sort_keys=True))
+        if accepted:
+            plan = load_plan(old)
+            assert plan.raw == raw
+            assert plan.hash == plan_hash(raw)
+        else:
+            with pytest.raises(jsonschema.ValidationError):
+                load_plan(old)
+            assert main(["ablate", "--plan", str(old), "-o", str(again)]) == 2
+    capsys.readouterr()
+
+
 def test_manifest_subcommand_mismatch(tmp_path, data_csv, capsys):
     run = tmp_path / "run"
     assert rank_run(data_csv, run) == 0
@@ -184,6 +233,23 @@ def test_rank_sizes_runs_sweep(tmp_path, data_csv):
     rows = [json.loads(line) for line in
             (tmp_path / "sweep_rows.jsonl").read_text().splitlines()]
     assert sorted({r["size"] for r in rows}) == [10, 12]
+
+
+@pytest.mark.parametrize("command", [
+    ["rank", "--sizes", "10,12"],
+    ["ablate", "--thresholds", "0"],
+], ids=["sweep", "ablation"])
+def test_file_plan_reads_its_dataset_once(tmp_path, data_csv, monkeypatch, command):
+    calls = []
+
+    def counting_load(path):
+        calls.append(path)
+        return load_dataset(path)
+
+    monkeypatch.setattr(experiments, "load_dataset", counting_load)
+    assert main([*command, "--data", data_csv, *RANK_ARGS, "--replicates", "2",
+                 "-o", str(tmp_path)]) == 0
+    assert len(calls) == 1
 
 
 def test_rank_sizes_accepts_one_fold(tmp_path):
@@ -258,6 +324,35 @@ def test_recover_rejects_empty_zhat(tmp_path, data_csv, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"notes": "nothing here"}))
     assert main(["recover", "--data", data_csv, "--zhat", str(bad),
+                 "-o", str(tmp_path / "out")]) == 2
+    capsys.readouterr()
+
+
+def test_recover_zero_range_truth(tmp_path, capsys):
+    # every stimulus at the same distance: the label RMSE has no range to scale by
+    gen = tmp_path / "gen"
+    assert main(["generate", "--trajectories", "10", "--points", "1", "--d-min", "5",
+                 "--d-max", "5", "--latent-dim", "4", "--response-dim", "6",
+                 "--k-signal", "1", "--nuisance-rank", "1", "--seed", "1",
+                 "-o", str(gen)]) == 0
+    zhat = tmp_path / "zhat.json"
+    zhat.write_text(json.dumps({"coords": [0, 0, 0, 0]}))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["recover", "--data", str(gen / "dataset.csv"), "--zhat", str(zhat),
+                 "-o", str(out)]) == 0
+    metrics = json.loads((out / "label_metrics.json").read_text())
+    assert metrics["distance_range"] == 0 and metrics["rmse_pct_of_range"] is None
+    printed = capsys.readouterr().out
+    assert f"rmse {metrics['rmse']:.12g}" in printed and "undefined" in printed
+
+
+def test_recover_rejects_reduced_best_point(tmp_path, data_csv, capsys):
+    # summary.json's best_point is in CMA-ES reduced coordinates; even when
+    # its length matches the latent dimension it is not a latent point
+    only_best = tmp_path / "best.json"
+    only_best.write_text(json.dumps({"best_point": [0.0, 0.0, 0.0, 0.0]}))
+    assert main(["recover", "--data", data_csv, "--zhat", str(only_best),
                  "-o", str(tmp_path / "out")]) == 2
     capsys.readouterr()
 
@@ -376,3 +471,14 @@ def test_seed_changes_outputs(tmp_path, data_csv):
 def test_negative_seed_rejected(tmp_path, data_csv, capsys):
     assert rank_run(data_csv, tmp_path, ("--seed", "-4")) == 2
     capsys.readouterr()
+
+
+def test_readme_flags_exist():
+    # every --flag the README names must be one some subcommand accepts
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    known = {opt for p in sub.choices.values() for opt in p._option_string_actions}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    named = {flag for line in readme.splitlines() if "pytest" not in line
+             for flag in re.findall(r"--[a-z][a-z0-9-]*", line)}
+    assert named and named <= known, sorted(named - known)
