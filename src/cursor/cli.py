@@ -21,25 +21,27 @@ import numpy as np
 
 from .dataset import StimulusResponseDataset, load_dataset, save_dataset
 from .estimators import EstimatorSpec
-from .latent import LatentPoint
-from .optimize import CmaConfig, recover_target, trace_summary, trace_to_jsonl
-from .pca import default_latent_k, default_response_k, pca_fit, save_pca
+from .optimize import trace_summary, trace_to_jsonl
+from .pca import save_pca
 from .ranking import build_hypothesis_set, rank_report
 from .scoring import ScoreConfig, report_to_json, score
-from .synth import Link, generate_dataset, make_response_model
 from .experiments import (
     ABLATION_METRICS,
     DEFAULT_PLAN,
+    RANK_METRICS,
     aggregate,
+    draw_dataset,
     load_plan,
     plan_from_dict,
+    recover,
     recover_labels,
+    response_model,
     run_plan,
     score_config,
     write_jsonl,
     write_table,
 )
-from ._util import derive_rng, derive_seed
+from ._util import derive_seed
 
 __all__ = ["main"]
 
@@ -321,30 +323,10 @@ def _score_config(opts: dict) -> ScoreConfig:
 def _cmd_generate(opts: dict) -> int:
     out = _out_dir(opts)
     seed = opts["seed"]
-    model = make_response_model(
-        response_dim=opts["response_dim"],
-        k_signal=opts["k_signal"],
-        signal_gain=opts["signal_gain"],
-        noise_sigma=opts["noise_sigma"],
-        nuisance_rank=opts["nuisance_rank"],
-        nuisance_gain=opts["nuisance_gain"],
-        link=Link(kind=opts["link"], tau=opts["tau"]),
-        seed=derive_seed(seed, "response-model"),
-    )
-    targets = [
-        LatentPoint(derive_rng(derive_seed(seed, "target", i), "coords")
-                    .standard_normal(opts["latent_dim"]))
-        for i in range(opts["targets"])
-    ]
-    ds = generate_dataset(
-        targets=targets,
-        trajectories_per_target=opts["trajectories"],
-        points_per_trajectory=opts["points"],
-        model=model,
-        master_seed=seed,
-        d_min=opts["d_min"],
-        d_max=opts["d_max"],
-        spacing=opts["spacing"],
+    generator = {**opts, "link": {"kind": opts["link"], "tau": opts["tau"]}}
+    ds = draw_dataset(
+        generator, response_model(generator, seed),
+        [derive_seed(seed, "target", i) for i in range(opts["targets"])], seed,
     )
     ds = StimulusResponseDataset(
         stimuli=ds.stimuli, responses=ds.responses, truth=ds.truth,
@@ -457,24 +439,11 @@ def _cmd_rank(opts: dict) -> int:
 def _cmd_optimize(opts: dict) -> int:
     out = _out_dir(opts)
     ds = _load_data(opts)
-    seed = opts["seed"]
-    k_e = opts["reduce_responses"] or default_response_k(ds.response_dim)
-    k_z = opts["reduce_latents"] or default_latent_k(ds.stimulus_dim)
-    pca_e = pca_fit(ds.responses, k_e)
-    pca_z = pca_fit(ds.stimuli, k_z)
+    optimization = {**opts, "population_size": opts["population"]}
+    zhat, trace, pca_e, pca_z = recover(optimization, ds, _score_config(opts),
+                                        derive_seed(opts["seed"], "cma"))
     save_pca(pca_e, out / "pca_responses.bin")
     save_pca(pca_z, out / "pca_latents.bin")
-    cfg = _score_config(opts)
-    cma = CmaConfig(
-        dim=k_z,
-        bounds_lo=-opts["bounds"],
-        bounds_hi=opts["bounds"],
-        population_size=opts["population"],
-        sigma0=opts["sigma0"],
-        max_evaluations=opts["budget"],
-        seed=derive_seed(seed, "cma"),
-    )
-    zhat, trace = recover_target(ds, cfg, cma, pca_e, pca_z)
     with open(out / "trace.jsonl", "w", encoding="utf-8") as fh:
         fh.write(trace_to_jsonl(trace))
     summary = trace_summary(trace)
@@ -595,8 +564,7 @@ def _cmd_report(opts: dict) -> int:
 
     wrote = []
     if rank_rows:
-        table = aggregate(rank_rows, ("estimator",),
-                          ("pearson_r", "target_rank", "d_top_rank"))
+        table = aggregate(rank_rows, ("estimator",), RANK_METRICS)
         write_table(table, out / "table1.csv")
         wrote.append("table1.csv")
     if detail_rows:
@@ -604,8 +572,7 @@ def _cmd_report(opts: dict) -> int:
                     columns=["run", "estimator", "index", "distance", "score", "is_target"])
         wrote.append("fig2_score_vs_distance.csv")
     if sweep_rows:
-        table = aggregate(sweep_rows, ("size", "estimator"),
-                          ("pearson_r", "target_rank", "d_top_rank"))
+        table = aggregate(sweep_rows, ("size", "estimator"), RANK_METRICS)
         write_table(table, out / "fig3_metric_vs_size.csv")
         wrote.append("fig3_metric_vs_size.csv")
     if trace_rows:

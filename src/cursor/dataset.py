@@ -314,11 +314,15 @@ def _load_csv(path, sidecar):
         body = np.loadtxt(fh, delimiter=",", ndmin=2)
     dz = sum(1 for c in header if c.startswith("stim_"))
     de = sum(1 for c in header if c.startswith("resp_"))
-    if dz == 0 or de == 0 or header[:dz + de] != (
+    has_dist = header[-1] == "true_dist"
+    if dz == 0 or de == 0 or header != (
         [f"stim_{j}" for j in range(dz)] + [f"resp_{j}" for j in range(de)]
+        + ["true_dist"] * has_dist
     ):
         raise ValueError(f"unrecognized dataset header in {path}")
-    has_dist = "true_dist" in header
+    if body.size and body.shape[1] != len(header):
+        raise ValueError(f"dataset rows in {path} have {body.shape[1]} values, "
+                         f"but its header names {len(header)} columns")
     stimuli = body[:, :dz]
     responses = body[:, dz:dz + de]
     truth = None

@@ -36,15 +36,19 @@ __all__ = [
     "AblationCell",
     "ExperimentPlan",
     "PLAN_SCHEMA",
+    "RANK_METRICS",
     "SweepCell",
     "aggregate",
     "default_size_ladder",
+    "draw_dataset",
     "load_plan",
     "plan_from_dict",
     "plan_hash",
+    "recover",
     "recover_labels",
     "replicate_dataset",
     "replicate_seeds",
+    "response_model",
     "run_ablation",
     "run_plan",
     "run_size_sweep",
@@ -234,6 +238,9 @@ class ExperimentPlan:
             # defaults added a generator next to an explicit file source
             resolved["dataset"] = {"file": resolved["dataset"]["file"]}
         object.__setattr__(self, "raw", resolved)
+        keys = [key for key, _, _ in self.estimator_entries()]
+        if len(set(keys)) != len(keys):
+            raise ValueError("estimator labels must be unique")
 
     @property
     def hash(self) -> str:
@@ -265,8 +272,6 @@ class ExperimentPlan:
                 if shuffled:
                     key += "-shuffled"
             out.append((key, spec, shuffled))
-        if len({k for k, _, _ in out}) != len(out):
-            raise ValueError("estimator labels must be unique")
         return out
 
 
@@ -299,18 +304,35 @@ def replicate_seeds(plan: ExperimentPlan, target_idx: int, variant_idx: int,
     return seeds
 
 
-def _generator_model(plan: ExperimentPlan):
-    gen = plan.raw["dataset"]["generator"]
-    link = Link(kind=gen["link"]["kind"], tau=gen["link"]["tau"])
+def response_model(generator: dict, seed: int):
+    """The response model of a plan's "generator" section, drawn from seed."""
     return make_response_model(
-        response_dim=gen["response_dim"],
-        k_signal=gen["k_signal"],
-        signal_gain=gen["signal_gain"],
-        noise_sigma=gen["noise_sigma"],
-        nuisance_rank=gen["nuisance_rank"],
-        nuisance_gain=gen["nuisance_gain"],
-        link=link,
-        seed=derive_seed(plan.master_seed, "response-model"),
+        response_dim=generator["response_dim"],
+        k_signal=generator["k_signal"],
+        signal_gain=generator["signal_gain"],
+        noise_sigma=generator["noise_sigma"],
+        nuisance_rank=generator["nuisance_rank"],
+        nuisance_gain=generator["nuisance_gain"],
+        link=Link(kind=generator["link"]["kind"], tau=generator["link"]["tau"]),
+        seed=derive_seed(seed, "response-model"),
+    )
+
+
+def draw_dataset(generator: dict, model, target_seeds,
+                 master_seed: int) -> StimulusResponseDataset:
+    """One hidden target per target seed, then generate_dataset under the
+    "generator" section's geometry; one target seed gives hidden truth."""
+    targets = [LatentPoint(derive_rng(s, "coords").standard_normal(generator["latent_dim"]))
+               for s in target_seeds]
+    return generate_dataset(
+        targets=targets,
+        trajectories_per_target=generator["trajectories"],
+        points_per_trajectory=generator["points"],
+        model=model,
+        master_seed=master_seed,
+        d_min=generator["d_min"],
+        d_max=generator["d_max"],
+        spacing=generator["spacing"],
     )
 
 
@@ -327,17 +349,9 @@ def replicate_dataset(plan: ExperimentPlan, target_idx: int, variant_idx: int,
         return load_dataset(src["file"])
     gen = src["generator"]
     seeds = replicate_seeds(plan, target_idx, variant_idx)
-    target = derive_rng(seeds["target"], "coords").standard_normal(gen["latent_dim"])
-    return generate_dataset(
-        targets=[LatentPoint(target)],
-        trajectories_per_target=gen["trajectories"],
-        points_per_trajectory=gen["points"],
-        model=model if model is not None else _generator_model(plan),
-        master_seed=seeds["dataset"],
-        d_min=gen["d_min"],
-        d_max=gen["d_max"],
-        spacing=gen["spacing"],
-    )
+    if model is None:
+        model = response_model(gen, plan.master_seed)
+    return draw_dataset(gen, model, [seeds["target"]], seeds["dataset"])
 
 
 def _replicate_indices(plan: ExperimentPlan):
@@ -354,7 +368,7 @@ def _replicate_datasets(plan: ExperimentPlan) -> dict:
     if "file" in src:
         ds = load_dataset(src["file"])
         return {rep: ds for rep in reps}
-    model = _generator_model(plan)
+    model = response_model(src["generator"], plan.master_seed)
     return {(t, v): replicate_dataset(plan, t, v, model=model) for t, v in reps}
 
 
@@ -379,6 +393,10 @@ def _hypothesis_set(plan: ExperimentPlan, ds: StimulusResponseDataset, hset_seed
         ds.truth.target, hs["count"], hs["d_max"], hset_seed,
         include_target=hs["include_target"],
     )
+
+
+# The metrics of one rank_report that sweep and ranking tables summarize.
+RANK_METRICS = ("pearson_r", "target_rank", "d_top_rank")
 
 
 def default_size_ladder(n: int, n_folds: int, rungs: int = SIZE_LADDER_RUNGS) -> list[int]:
@@ -423,17 +441,7 @@ def run_size_sweep(plan: ExperimentPlan) -> list[SweepCell]:
     """
     n_folds = plan.raw["cv"]["n_folds"]
     datasets = _replicate_datasets(plan)
-
     sizes = plan.raw["sizes"]
-    for (t, v), ds in datasets.items():
-        cell_sizes = sizes if sizes is not None else default_size_ladder(ds.n, n_folds)
-        bad = [s for s in cell_sizes if s > ds.n]
-        if bad:
-            raise ValueError(f"sizes {bad} exceed dataset size {ds.n}")
-        small = [s for s in cell_sizes if s < n_folds]
-        if small:
-            raise ValueError(f"sizes {small} are below n_folds={n_folds}")
-
     jobs = []
 
     def make_job(t, v, size, key, spec, shuffled):
@@ -449,8 +457,15 @@ def run_size_sweep(plan: ExperimentPlan) -> list[SweepCell]:
                              seeds=seeds, report=rep)
         return job
 
+    # Jobs run only after every replicate's sizes are checked.
     for (t, v), ds in datasets.items():
         cell_sizes = sizes if sizes is not None else default_size_ladder(ds.n, n_folds)
+        bad = [s for s in cell_sizes if s > ds.n]
+        if bad:
+            raise ValueError(f"sizes {bad} exceed dataset size {ds.n}")
+        small = [s for s in cell_sizes if s < n_folds]
+        if small:
+            raise ValueError(f"sizes {small} are below n_folds={n_folds}")
         for size in cell_sizes:
             for key, spec, shuffled in plan.estimator_entries():
                 jobs.append(make_job(t, v, size, key, spec, shuffled))
@@ -459,7 +474,7 @@ def run_size_sweep(plan: ExperimentPlan) -> list[SweepCell]:
 
 # The metrics an ablation summary reports, per ablation mode.
 ABLATION_METRICS = {
-    "ranking": ("pearson_r", "target_rank", "d_top_rank"),
+    "ranking": RANK_METRICS,
     "optimization": ("recovered_distance", "best_score"),
 }
 
@@ -500,23 +515,28 @@ class AblationCell:
         }
 
 
-def _recover_on(plan: ExperimentPlan, ds: StimulusResponseDataset, cfg: ScoreConfig,
-                cma_seed: int):
-    opt = plan.raw["optimization"]
-    k_e = opt["reduce_responses"] or default_response_k(ds.response_dim)
-    k_z = opt["reduce_latents"] or default_latent_k(ds.stimulus_dim)
+def recover(optimization: dict, ds: StimulusResponseDataset, cfg: ScoreConfig, cma_seed: int):
+    """CMA-ES recovery under a plan's "optimization" section.
+
+    Fits the response and latent PCAs on ds (reduce_responses and
+    reduce_latents default to default_response_k/default_latent_k) and
+    returns (zhat, trace, pca_e, pca_z).
+    """
+    k_e = optimization["reduce_responses"] or default_response_k(ds.response_dim)
+    k_z = optimization["reduce_latents"] or default_latent_k(ds.stimulus_dim)
     pca_e = pca_fit(ds.responses, k_e)
     pca_z = pca_fit(ds.stimuli, k_z)
     cma = CmaConfig(
         dim=k_z,
-        bounds_lo=-opt["bounds"],
-        bounds_hi=opt["bounds"],
-        population_size=opt["population_size"],
-        sigma0=opt["sigma0"],
-        max_evaluations=opt["budget"],
+        bounds_lo=-optimization["bounds"],
+        bounds_hi=optimization["bounds"],
+        population_size=optimization["population_size"],
+        sigma0=optimization["sigma0"],
+        max_evaluations=optimization["budget"],
         seed=cma_seed,
     )
-    return recover_target(ds, cfg, cma, pca_e, pca_z)
+    zhat, trace = recover_target(ds, cfg, cma, pca_e, pca_z)
+    return zhat, trace, pca_e, pca_z
 
 
 def run_ablation(plan: ExperimentPlan, mode: str = "ranking") -> list[AblationCell]:
@@ -568,7 +588,7 @@ def run_ablation(plan: ExperimentPlan, mode: str = "ranking") -> list[AblationCe
                         seeds=seeds, report=rep,
                     ))
                 else:
-                    zhat, trace = _recover_on(plan, ds, cfg, seeds["cma"])
+                    zhat, trace, _, _ = recover(plan.raw["optimization"], ds, cfg, seeds["cma"])
                     dist = float(np.linalg.norm(zhat.coords - full.truth.target.coords))
                     cells.append(AblationCell(
                         target=t, variant=v, threshold=thr, condition=cond,
@@ -693,8 +713,7 @@ def run_plan(plan: ExperimentPlan, out_dir, kinds: tuple[str, ...] = ("sweep",),
         rows = _stamp_rows(plan, [c.row() for c in cells])
         write_table(rows, out_dir / "sweep.csv")
         write_jsonl(rows, out_dir / "sweep_rows.jsonl")
-        summary = aggregate(rows, ("size", "estimator"),
-                            ("pearson_r", "target_rank", "d_top_rank"))
+        summary = aggregate(rows, ("size", "estimator"), RANK_METRICS)
         write_table(_stamp_rows(plan, summary), out_dir / "sweep_summary.csv")
         results["sweep"] = rows
     if "ablation" in kinds:

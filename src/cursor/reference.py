@@ -5,10 +5,13 @@ short trajectories of 3 points each, acquisition capped at distance 15)
 whose noise level was pinned by a pre-registered calibration run; the
 calibration log with per-seed numbers lives in
 scripts/reference_calibration.json and the constants below must match it.
-Reproduction experiments and the acceptance suite build their trials
-exclusively through these helpers so that every consumer sees the same
-seeds.  run_trial is the one reference battery: the calibration script
-writes its rows to that log, and the acceptance suite checks them against it.
+
+The helpers here fix only a trial's seeds and plan sections.  The response
+model, dataset, score config and recovery come from the same
+cursor.experiments builders that plans and the CLI use, so run_trial, the
+one reference battery, runs the code of `cursor generate`, `optimize` and
+`ablate`: the calibration script writes its rows to that log, and the
+acceptance suite checks them against it.
 
 Hypothesis sets keep the full uniform radius (hypothesis_d_max) even though
 acquisition trajectories stay close to the target: candidates are judged
@@ -22,15 +25,21 @@ import time
 
 import numpy as np
 
-from .estimators import CvConfig, EstimatorSpec
-from .experiments import recover_labels
+from .estimators import EstimatorSpec
+from .experiments import (
+    DEFAULT_PLAN,
+    draw_dataset,
+    recover,
+    recover_labels,
+    response_model,
+    score_config,
+)
 from .latent import ACQUISITION_D_MAX, LatentPoint
-from .optimize import CmaConfig, recover_target
-from .pca import default_latent_k, default_response_k, pca_fit, pca_inverse, pca_transform
+from .pca import pca_inverse, pca_transform
 from .ranking import build_hypothesis_set, rank_report
 from .scoring import ScoreConfig
-from .synth import Link, ResponseModel, generate_dataset, make_response_model
-from ._util import derive_rng, derive_seed
+from .synth import ResponseModel
+from ._util import derive_seed
 
 __all__ = [
     "REFERENCE",
@@ -67,19 +76,15 @@ REFERENCE = {
 }
 
 
+def _generator(r: dict) -> dict:
+    """REFERENCE's flat keys as a plan "generator" section."""
+    return {**r, "link": {"kind": r["link_kind"], "tau": r["link_tau"]}}
+
+
 def reference_model(noise_sigma: float | None = None) -> ResponseModel:
     """The shared response model; noise_sigma overridable for calibration."""
-    r = REFERENCE
-    return make_response_model(
-        response_dim=r["response_dim"],
-        k_signal=r["k_signal"],
-        signal_gain=r["signal_gain"],
-        noise_sigma=r["noise_sigma"] if noise_sigma is None else noise_sigma,
-        nuisance_rank=r["nuisance_rank"],
-        nuisance_gain=r["nuisance_gain"],
-        link=Link(kind=r["link_kind"], tau=r["link_tau"]),
-        seed=derive_seed(r["master_seed"], "response-model"),
-    )
+    r = REFERENCE if noise_sigma is None else {**REFERENCE, "noise_sigma": noise_sigma}
+    return response_model(_generator(r), REFERENCE["master_seed"])
 
 
 def trial_seeds(trial: int) -> dict:
@@ -101,35 +106,22 @@ def reference_dataset(trial: int, model: ResponseModel | None = None,
     Keyword overrides (trajectories, points, d_max, ...) exist for the
     calibration script only; committed consumers use the pinned values.
     """
-    r = dict(REFERENCE)
-    r.update(overrides)
     seeds = trial_seeds(trial)
-    target = LatentPoint(
-        derive_rng(seeds["target"], "coords").standard_normal(r["latent_dim"]))
-    ds = generate_dataset(
-        targets=[target],
-        trajectories_per_target=r["trajectories"],
-        points_per_trajectory=r["points"],
-        model=model if model is not None else reference_model(),
-        master_seed=seeds["acquisition"],
-        d_min=r["d_min"],
-        d_max=r["d_max"],
-        spacing=r["spacing"],
-    )
-    return ds, target
+    ds = draw_dataset(_generator({**REFERENCE, **overrides}),
+                      reference_model() if model is None else model,
+                      [seeds["target"]], seeds["acquisition"])
+    return ds, ds.truth.target
 
 
 def reference_score_config(trial: int, kind: str = "ols",
                            shuffle_aligned: bool = False) -> ScoreConfig:
-    r = REFERENCE
     seeds = trial_seeds(trial)
-    return ScoreConfig(
-        estimator=EstimatorSpec(kind=kind),
-        cv=CvConfig(n_folds=r["n_folds"], train_fraction=r["train_fraction"],
-                    seed=seeds["cv"]),
-        perm_seed=seeds["perm"],
-        shuffle_aligned=shuffle_aligned,
-    )
+    sections = {
+        "cv": {"n_folds": REFERENCE["n_folds"], "train_fraction": REFERENCE["train_fraction"]},
+        "scoring": DEFAULT_PLAN["scoring"],
+    }
+    return score_config(sections, EstimatorSpec(kind=kind), shuffle_aligned,
+                        seeds["cv"], seeds["perm"])
 
 
 def reference_hypothesis_set(trial: int, target: LatentPoint,
@@ -187,18 +179,14 @@ def run_trial(trial: int, model: ResponseModel | None = None,
     rep_wo = rank_report(ds, hset_wo, config("ols"), true_target=target)
     row["comparator_d_top"] = rep_wo.d_top_rank
 
-    k_z = default_latent_k(REFERENCE["latent_dim"])
-    pca_e = pca_fit(ds.responses, default_response_k(REFERENCE["response_dim"]))
-    pca_z = pca_fit(ds.stimuli, k_z)
-    proj = pca_inverse(pca_z, pca_transform(pca_z, target.coords))
-    row["pca_floor"] = float(np.linalg.norm(proj - target.coords))
-
-    cma = CmaConfig(dim=k_z, max_evaluations=1000, seed=trial_seeds(trial)["cma"])
     for label in _CONDITIONS:
-        zhat, trace = recover_target(ds, config(label), cma, pca_e, pca_z)
+        zhat, trace, _, pca_z = recover(DEFAULT_PLAN["optimization"], ds, config(label),
+                                        trial_seeds(trial)["cma"])
         distance = float(np.linalg.norm(zhat.coords - target.coords))
         _, metrics = recover_labels(ds, zhat)
         if label == "ols":
+            proj = pca_inverse(pca_z, pca_transform(pca_z, target.coords))
+            row["pca_floor"] = float(np.linalg.norm(proj - target.coords))
             row["recovered_distance"] = distance
             row["recovery_beats_comparator"] = distance <= row["comparator_d_top"]
             row["recovery_beats_with_target"] = distance <= row["ols_d_top"]

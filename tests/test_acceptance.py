@@ -29,14 +29,9 @@ from cursor.dataset import (
     window_epoch,
 )
 from cursor.estimators import CvConfig, EstimatorSpec, solve_centered
-from cursor.optimize import CmaConfig, cmaes_maximize, recover_target
-from cursor.pca import (
-    default_latent_k,
-    default_response_k,
-    pca_fit,
-    pca_inverse,
-    pca_transform,
-)
+from cursor.experiments import DEFAULT_PLAN, recover
+from cursor.optimize import CmaConfig, cmaes_maximize
+from cursor.pca import pca_fit, pca_inverse, pca_transform
 from cursor.ranking import target_rank
 from cursor.reference import (
     REFERENCE,
@@ -273,25 +268,20 @@ def test_criterion_7_reference_recovery(reference_battery):
 def ablation_battery():
     """Near-target ablation vs size-matched control recoveries per trial."""
     model = reference_model()
-    k_e = default_response_k(REFERENCE["response_dim"])
-    k_z = default_latent_k(REFERENCE["latent_dim"])
     threshold = 2.0  # largest tested: drops both near rungs of the ladder
     rows = []
     for trial in range(REFERENCE["n_trials"]):
         ds, target = reference_dataset(trial, model=model)
-        seeds = trial_seeds(trial)
         ablated = ablate_near_target(ds, threshold)
         control = subsample(
             ds, ablated.n,
             derive_seed(REFERENCE["master_seed"], "trial", trial, "ablation-control"),
         )
         cfg = reference_score_config(trial)
-        cma = CmaConfig(dim=k_z, max_evaluations=1000, seed=seeds["cma"])
         row = {"trial": trial, "threshold": threshold, "n": ablated.n}
         for name, cond in (("ablated", ablated), ("control", control)):
-            pca_e = pca_fit(cond.responses, k_e)
-            pca_z = pca_fit(cond.stimuli, k_z)
-            zhat, _ = recover_target(cond, cfg, cma, pca_e, pca_z)
+            zhat, _, _, _ = recover(DEFAULT_PLAN["optimization"], cond, cfg,
+                                    trial_seeds(trial)["cma"])
             row[name] = float(np.linalg.norm(zhat.coords - target.coords))
         rows.append(row)
     return rows

@@ -393,6 +393,18 @@ def test_ablate_rejects_plan_and_data(tmp_path, data_csv, capsys):
     capsys.readouterr()
 
 
+def test_ablate_duplicate_labels_fail_before_plan_json(tmp_path, capsys):
+    raw = {"estimators": [{"kind": "ols", "label": "a"}, {"kind": "ridge", "label": "a"}]}
+    with pytest.raises(ValueError, match="labels must be unique"):
+        experiments.plan_from_dict(raw)
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["ablate", "--plan", str(plan), "-o", str(out)]) == 2
+    assert "labels must be unique" in capsys.readouterr().err
+    assert not (out / "plan.json").exists()
+
+
 def test_report_merges_rank_runs(tmp_path, data_csv):
     run1, run2 = tmp_path / "r1", tmp_path / "r2"
     assert rank_run(data_csv, run1) == 0

@@ -298,6 +298,23 @@ def test_load_rejects_garbage_header(tmp_path):
         load_dataset(p)
 
 
+@pytest.mark.parametrize("header,row", [
+    ("stim_0,stim_1,resp_0,resp_1,resp_2", "1,2,3,4"),
+    ("stim_0,stim_1,resp_0", "1,2,3,4,5"),
+    ("stim_0,resp_0,extra", "1,2,3"),
+    ("stim_0,true_dist,resp_0", "1,2,3"),
+], ids=["short-rows", "long-rows", "extra-column", "true-dist-not-last"])
+def test_csv_rows_and_header_must_match(tmp_path, capsys, header, row):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"{header}\n{row}\n{row}\n")
+    with pytest.raises(ValueError):
+        load_dataset(bad)
+    code = cli_main(["score", "--data", str(bad), "--hypothesis", "0,0",
+                     "-o", str(tmp_path / "out")])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 # n=20, dz=3, de=4 with truth: 20 header bytes, 8*20*7 = 1120 body bytes,
 # one flag byte, then 8*(3+20) = 184 truth bytes; 1325 bytes in all
 @pytest.mark.parametrize("size", [12, 20 + 560, 20 + 1120 + 1 + 40, 1325 + 16],

@@ -114,9 +114,8 @@ def test_estimator_entries_label_synthesis():
     assert [key for key, _, _ in entries] == ["ols", "ridge-0.5", "ols-shuffled", "null-model"]
     assert entries[1][1].ridge_lambda == 0.5
     assert entries[2][2] is True
-    clash = tiny_plan(estimators=[{"kind": "ols"}, {"kind": "ols"}])
-    with pytest.raises(ValueError):
-        clash.estimator_entries()
+    with pytest.raises(ValueError, match="labels must be unique"):
+        tiny_plan(estimators=[{"kind": "ols"}, {"kind": "ols"}])
 
 
 def test_replicate_seeds_keyed_by_indices():
