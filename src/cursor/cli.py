@@ -45,77 +45,10 @@ from ._util import derive_seed
 
 __all__ = ["main"]
 
-GLOBAL_DEFAULTS = {"seed": 0, "out": None, "format": "csv"}
-
 _GENERATOR = DEFAULT_PLAN["dataset"]["generator"]
 _ESTIMATOR = DEFAULT_PLAN["estimators"][0]
 _HYPOTHESES = DEFAULT_PLAN["hypothesis_set"]
 _OPTIMIZATION = DEFAULT_PLAN["optimization"]
-
-# Defaults of the estimator flags; optimize has no --shuffle-aligned.
-ESTIMATOR_DEFAULTS = {
-    "estimator": _ESTIMATOR["kind"],
-    "ridge_lambda": _ESTIMATOR["ridge_lambda"],
-    "folds": DEFAULT_PLAN["cv"]["n_folds"],
-    "train_fraction": DEFAULT_PLAN["cv"]["train_fraction"],
-    "shuffles": DEFAULT_PLAN["scoring"]["n_shuffles"],
-}
-HYPOTHESIS_SET_DEFAULTS = {
-    "L": _HYPOTHESES["count"],
-    "d_max": _HYPOTHESES["d_max"],
-    "include_target": _HYPOTHESES["include_target"],
-}
-BUDGET_DEFAULTS = {"budget": _OPTIMIZATION["budget"], "bounds": _OPTIMIZATION["bounds"]}
-
-COMMAND_DEFAULTS = {
-    "generate": {
-        "targets": 1,
-        "trajectories": 3,
-        **{key: _GENERATOR[key] for key in (
-            "points", "latent_dim", "response_dim", "k_signal", "signal_gain", "noise_sigma",
-            "nuisance_rank", "nuisance_gain", "d_min", "d_max", "spacing")},
-        "link": _GENERATOR["link"]["kind"],
-        "tau": _GENERATOR["link"]["tau"],
-        "name": "dataset",
-    },
-    "score": {
-        "data": None,
-        "hypothesis": None,
-        "hypothesis_file": None,
-        **ESTIMATOR_DEFAULTS,
-        "shuffle_aligned": _ESTIMATOR["shuffle_aligned"],
-    },
-    "rank": {
-        "data": None,
-        **HYPOTHESIS_SET_DEFAULTS,
-        "sizes": DEFAULT_PLAN["sizes"],
-        "replicates": 1,
-        **ESTIMATOR_DEFAULTS,
-        "shuffle_aligned": _ESTIMATOR["shuffle_aligned"],
-    },
-    "optimize": {
-        "data": None,
-        **BUDGET_DEFAULTS,
-        "population": _OPTIMIZATION["population_size"],
-        "sigma0": _OPTIMIZATION["sigma0"],
-        "reduce_responses": _OPTIMIZATION["reduce_responses"],
-        "reduce_latents": _OPTIMIZATION["reduce_latents"],
-        **ESTIMATOR_DEFAULTS,
-    },
-    "ablate": {
-        "plan": None,
-        "data": None,
-        "thresholds": None,
-        "mode": "ranking",
-        "replicates": 1,
-        **HYPOTHESIS_SET_DEFAULTS,
-        **BUDGET_DEFAULTS,
-        **ESTIMATOR_DEFAULTS,
-        "shuffle_aligned": _ESTIMATOR["shuffle_aligned"],
-    },
-    "recover": {"data": None, "zhat": None},
-    "report": {"inputs": None},
-}
 
 
 def _csv_floats(text: str) -> list[float]:
@@ -126,26 +59,101 @@ def _csv_ints(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
-def _add_global_flags(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    p.add_argument("--config", default=None,
-                   help="JSON file with option overrides; a previous manifest.json works")
-    p.add_argument("-o", "--out", default=None, help="output directory")
-    p.add_argument("--format", choices=["csv", "bin"], default=None,
-                   help="dataset file format (default csv)")
+# Every option once: dest -> (flag strings, default, argparse keywords).  A
+# positional has no flag strings.
+OPTIONS = {
+    "seed": (("--seed",), 0, {"type": int, "help": "master seed"}),
+    "out": (("-o", "--out"), None, {"help": "output directory"}),
+    "format": (("--format",), "csv", {"choices": ["csv", "bin"],
+                                      "help": "dataset file format"}),
+    "targets": (("--targets",), 1, {"type": int, "help": "number of hidden targets"}),
+    "trajectories": (("--trajectories",), 3, {"type": int, "help": "trajectories per target"}),
+    "points": (("--points",), _GENERATOR["points"],
+               {"type": int, "help": "points per trajectory"}),
+    "latent_dim": (("--latent-dim",), _GENERATOR["latent_dim"], {"type": int}),
+    "response_dim": (("--response-dim",), _GENERATOR["response_dim"], {"type": int}),
+    "k_signal": (("--k-signal",), _GENERATOR["k_signal"], {"type": int}),
+    "signal_gain": (("--signal-gain",), _GENERATOR["signal_gain"], {"type": float}),
+    "noise_sigma": (("--noise-sigma",), _GENERATOR["noise_sigma"], {"type": float}),
+    "nuisance_rank": (("--nuisance-rank",), _GENERATOR["nuisance_rank"], {"type": int}),
+    "nuisance_gain": (("--nuisance-gain",), _GENERATOR["nuisance_gain"], {"type": float}),
+    "link": (("--link",), _GENERATOR["link"]["kind"], {"choices": ["linear", "saturating"]}),
+    "tau": (("--tau",), _GENERATOR["link"]["tau"], {"type": float}),
+    "d_min": (("--d-min",), _GENERATOR["d_min"], {"type": float}),
+    # generate's largest distance and the hypothesis-set radius; DEFAULT_PLAN
+    # gives both the acquisition radius.
+    "d_max": (("--d-max",), _HYPOTHESES["d_max"], {"type": float}),
+    "spacing": (("--spacing",), _GENERATOR["spacing"], {"choices": ["uniform", "logarithmic"]}),
+    "name": (("--name",), "dataset", {"help": "output file stem"}),
+    "data": (("--data",), None, {"help": "dataset file"}),
+    "hypothesis": (("--hypothesis",), None, {"type": _csv_floats,
+                                             "help": "comma-separated latent coordinates"}),
+    "hypothesis_file": (("--hypothesis-file",), None,
+                        {"help": "JSON file holding the coordinates"}),
+    "estimator": (("--estimator",), _ESTIMATOR["kind"],
+                  {"choices": ["ols", "ridge", "dummy_mean"]}),
+    "ridge_lambda": (("--ridge-lambda",), _ESTIMATOR["ridge_lambda"], {"type": float}),
+    "folds": (("--folds",), DEFAULT_PLAN["cv"]["n_folds"], {"type": int}),
+    "train_fraction": (("--train-fraction",), DEFAULT_PLAN["cv"]["train_fraction"],
+                       {"type": float}),
+    "shuffles": (("--shuffles",), DEFAULT_PLAN["scoring"]["n_shuffles"],
+                 {"type": int, "help": "number of control permutations averaged per fold"}),
+    "shuffle_aligned": (("--shuffle-aligned",), _ESTIMATOR["shuffle_aligned"],
+                        {"action": argparse.BooleanOptionalAction,
+                         "help": "shuffle both branches (the always-shuffling control)"}),
+    "L": (("--L",), _HYPOTHESES["count"], {"type": int, "help": "hypothesis set size"}),
+    "include_target": (("--include-target",), _HYPOTHESES["include_target"],
+                       {"action": argparse.BooleanOptionalAction}),
+    "sizes": (("--sizes",), DEFAULT_PLAN["sizes"],
+              {"type": _csv_ints,
+               "help": "comma-separated subsample sizes (runs the sweep harness)"}),
+    "replicates": (("--replicates",), 1,
+                   {"type": int, "help": "seeded replicates per size or threshold"}),
+    "budget": (("--budget",), _OPTIMIZATION["budget"],
+               {"type": int, "help": "objective evaluation budget"}),
+    "bounds": (("--bounds",), _OPTIMIZATION["bounds"],
+               {"type": float, "help": "symmetric search bound per reduced coordinate"}),
+    "population": (("--population",), _OPTIMIZATION["population_size"], {"type": int}),
+    "sigma0": (("--sigma0",), _OPTIMIZATION["sigma0"], {"type": float}),
+    "reduce_responses": (("--reduce-responses",), _OPTIMIZATION["reduce_responses"],
+                         {"type": int}),
+    "reduce_latents": (("--reduce-latents",), _OPTIMIZATION["reduce_latents"], {"type": int}),
+    "plan": (("--plan",), None, {"help": "experiment plan JSON"}),
+    "thresholds": (("--thresholds",), None,
+                   {"type": _csv_floats, "help": "comma-separated ablation distances"}),
+    "mode": (("--mode",), "ranking", {"choices": list(ABLATION_METRICS)}),
+    "zhat": (("--zhat",), None, {"help": "JSON file with the recovered coordinates"}),
+    "inputs": ((), None, {"nargs": "*", "help": "run directories to merge"}),
+}
+
+_ESTIMATOR_OPTIONS = ("estimator", "ridge_lambda", "folds", "train_fraction", "shuffles")
+_HYPOTHESIS_SET_OPTIONS = ("L", "d_max", "include_target")
+
+# command -> (help, the options it reads); every command also takes --config.
+COMMANDS = {
+    "generate": ("simulate a stimulus-response dataset", (
+        "targets", "trajectories", "points", "latent_dim", "response_dim", "k_signal",
+        "signal_gain", "noise_sigma", "nuisance_rank", "nuisance_gain", "link", "tau",
+        "d_min", "d_max", "spacing", "name", "seed", "out", "format")),
+    "score": ("score one hypothesis against a dataset", (
+        "data", "hypothesis", "hypothesis_file", *_ESTIMATOR_OPTIONS, "shuffle_aligned",
+        "seed", "out")),
+    "rank": ("rank a hypothesis set; --sizes runs a size sweep", (
+        "data", *_HYPOTHESIS_SET_OPTIONS, "sizes", "replicates", *_ESTIMATOR_OPTIONS,
+        "shuffle_aligned", "seed", "out")),
+    "optimize": ("recover the hidden target with CMA-ES", (
+        "data", "budget", "bounds", "population", "sigma0", "reduce_responses",
+        "reduce_latents", *_ESTIMATOR_OPTIONS, "seed", "out")),
+    "ablate": ("near-target ablation vs size-matched control", (
+        "plan", "data", "thresholds", "mode", "replicates", *_HYPOTHESIS_SET_OPTIONS,
+        "budget", "bounds", *_ESTIMATOR_OPTIONS, "shuffle_aligned", "seed", "out")),
+    "recover": ("reconstruct distance labels from a recovered point", ("data", "zhat", "out")),
+    "report": ("merge run outputs into figure-ready tables", ("inputs", "out")),
+}
 
 
-def _add_estimator_flags(p: argparse.ArgumentParser, with_shuffle_aligned=True):
-    p.add_argument("--estimator", choices=["ols", "ridge", "dummy_mean"], default=None)
-    p.add_argument("--ridge-lambda", type=float, default=None, dest="ridge_lambda")
-    p.add_argument("--folds", type=int, default=None)
-    p.add_argument("--train-fraction", type=float, default=None, dest="train_fraction")
-    p.add_argument("--shuffles", type=int, default=None,
-                   help="number of control permutations averaged per fold")
-    if with_shuffle_aligned:
-        p.add_argument("--shuffle-aligned", action=argparse.BooleanOptionalAction,
-                       default=None, dest="shuffle_aligned",
-                       help="shuffle both branches (the always-shuffling control)")
+def _flag(dest: str) -> str:
+    return OPTIONS[dest][0][-1]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,100 +162,56 @@ def build_parser() -> argparse.ArgumentParser:
         description="Self-calibrating target recovery: generate, score, rank, optimize.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="simulate a stimulus-response dataset")
-    p.add_argument("--targets", type=int, default=None, help="number of hidden targets")
-    p.add_argument("--trajectories", type=int, default=None, help="trajectories per target")
-    p.add_argument("--points", type=int, default=None, help="points per trajectory")
-    p.add_argument("--latent-dim", type=int, default=None, dest="latent_dim")
-    p.add_argument("--response-dim", type=int, default=None, dest="response_dim")
-    p.add_argument("--k-signal", type=int, default=None, dest="k_signal")
-    p.add_argument("--signal-gain", type=float, default=None, dest="signal_gain")
-    p.add_argument("--noise-sigma", type=float, default=None, dest="noise_sigma")
-    p.add_argument("--nuisance-rank", type=int, default=None, dest="nuisance_rank")
-    p.add_argument("--nuisance-gain", type=float, default=None, dest="nuisance_gain")
-    p.add_argument("--link", choices=["linear", "saturating"], default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--d-min", type=float, default=None, dest="d_min")
-    p.add_argument("--d-max", type=float, default=None, dest="d_max")
-    p.add_argument("--spacing", choices=["uniform", "logarithmic"], default=None)
-    p.add_argument("--name", default=None, help="output file stem")
-    _add_global_flags(p)
-
-    p = sub.add_parser("score", help="score one hypothesis against a dataset")
-    p.add_argument("--data", default=None, help="dataset file")
-    p.add_argument("--hypothesis", type=_csv_floats, default=None,
-                   help="comma-separated latent coordinates")
-    p.add_argument("--hypothesis-file", default=None, dest="hypothesis_file",
-                   help="JSON file holding the coordinates")
-    _add_estimator_flags(p)
-    _add_global_flags(p)
-
-    p = sub.add_parser("rank", help="rank a hypothesis set; --sizes runs a size sweep")
-    p.add_argument("--data", default=None, help="dataset file")
-    p.add_argument("--L", type=int, default=None, help="hypothesis set size")
-    p.add_argument("--d-max", type=float, default=None, dest="d_max")
-    p.add_argument("--include-target", action=argparse.BooleanOptionalAction,
-                   default=None, dest="include_target")
-    p.add_argument("--sizes", type=_csv_ints, default=None,
-                   help="comma-separated subsample sizes (runs the sweep harness)")
-    p.add_argument("--replicates", type=int, default=None,
-                   help="seeded replicates per size (sweep mode)")
-    _add_estimator_flags(p)
-    _add_global_flags(p)
-
-    p = sub.add_parser("optimize", help="recover the hidden target with CMA-ES")
-    p.add_argument("--data", default=None, help="dataset file")
-    p.add_argument("--budget", type=int, default=None, help="objective evaluation budget")
-    p.add_argument("--bounds", type=float, default=None,
-                   help="symmetric search bound per reduced coordinate")
-    p.add_argument("--population", type=int, default=None)
-    p.add_argument("--sigma0", type=float, default=None)
-    p.add_argument("--reduce-responses", type=int, default=None, dest="reduce_responses")
-    p.add_argument("--reduce-latents", type=int, default=None, dest="reduce_latents")
-    _add_estimator_flags(p, with_shuffle_aligned=False)
-    _add_global_flags(p)
-
-    p = sub.add_parser("ablate", help="near-target ablation vs size-matched control")
-    p.add_argument("--plan", default=None, help="experiment plan JSON")
-    p.add_argument("--data", default=None, help="dataset file (instead of a plan)")
-    p.add_argument("--thresholds", type=_csv_floats, default=None,
-                   help="comma-separated ablation distances")
-    p.add_argument("--mode", choices=list(ABLATION_METRICS), default=None)
-    p.add_argument("--replicates", type=int, default=None)
-    p.add_argument("--L", type=int, default=None)
-    p.add_argument("--d-max", type=float, default=None, dest="d_max")
-    p.add_argument("--include-target", action=argparse.BooleanOptionalAction,
-                   default=None, dest="include_target")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--bounds", type=float, default=None)
-    _add_estimator_flags(p)
-    _add_global_flags(p)
-
-    p = sub.add_parser("recover", help="reconstruct distance labels from a recovered point")
-    p.add_argument("--data", default=None, help="dataset file")
-    p.add_argument("--zhat", default=None, help="JSON file with the recovered coordinates")
-    _add_global_flags(p)
-
-    p = sub.add_parser("report", help="merge run outputs into figure-ready tables")
-    p.add_argument("inputs", nargs="*", help="run directories to merge")
-    _add_global_flags(p)
-
+    for command, (summary, dests) in COMMANDS.items():
+        # Unset options stay off the namespace, so _resolve sees only the
+        # flags given on the command line.
+        p = sub.add_parser(command, help=summary, argument_default=argparse.SUPPRESS)
+        for dest in dests:
+            flags, default, kwargs = OPTIONS[dest]
+            if default is not None:
+                help_text = f"{kwargs.get('help', '')} (default {default})".lstrip()
+                kwargs = {**kwargs, "help": help_text}
+            if flags:
+                p.add_argument(*flags, dest=dest, **kwargs)
+            else:
+                p.add_argument(dest, **kwargs)
+        p.add_argument("--config",
+                       help="JSON file with option overrides; a previous manifest.json works")
     return parser
 
 
+def _ignored(opts: dict) -> tuple[str, tuple[str, ...]]:
+    """The mode that opts selects, and the options that mode does not read."""
+    command = opts["command"]
+    if command == "ablate" and opts["plan"] is not None:
+        # _cmd_ablate refuses --data beside --plan, from a flag or --config.
+        return f"ablate {_flag('plan')}", tuple(
+            d for d in COMMANDS["ablate"][1] if d not in ("plan", "data", "mode", "out"))
+    if command == "rank" and opts["sizes"] is None:
+        return f"rank without {_flag('sizes')}", ("replicates",)
+    if command == "score" and opts["hypothesis"] is not None:
+        return f"score {_flag('hypothesis')}", ("hypothesis_file",)
+    return command, ()
+
+
 def _resolve(args: argparse.Namespace) -> dict:
-    """defaults < --config file < explicit flags."""
+    """defaults < --config file < explicit flags.
+
+    An explicit flag that the chosen mode ignores is refused; a --config key
+    that the command does not read is ignored, so older manifests replay.
+    """
+    given = dict(vars(args))
+    command = given.pop("command")
     config = {}
-    if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
+    if "config" in given:
+        with open(given.pop("config"), "r", encoding="utf-8") as fh:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ValueError("--config must hold a JSON object")
         if "options" in config and isinstance(config["options"], dict):
-            if config.get("subcommand") not in (None, args.command):
+            if config.get("subcommand") not in (None, command):
                 raise ValueError(
-                    f"manifest is for '{config.get('subcommand')}', not '{args.command}'"
+                    f"manifest is for '{config.get('subcommand')}', not '{command}'"
                 )
             config = config["options"]
         # Older manifests name the formula, which is now the only one; a
@@ -256,27 +220,26 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise ValueError(f"ratio_mode {config['ratio_mode']!r} is not supported; "
                              "S(h) is the ratio of the mean RMSEs")
 
-    opts = {"command": args.command}
-    table = {**GLOBAL_DEFAULTS, **COMMAND_DEFAULTS[args.command]}
-    for dest, default in table.items():
-        cli_val = getattr(args, dest, None)
-        if dest == "inputs" and cli_val == []:
-            cli_val = None
-        opts[dest] = cli_val if cli_val is not None else config.get(dest, default)
-
-    if opts["seed"] < 0:
+    opts = {"command": command}
+    for dest in COMMANDS[command][1]:
+        opts[dest] = given[dest] if dest in given else config.get(dest, OPTIONS[dest][1])
+    mode, ignored = _ignored(opts)
+    refused = [_flag(dest) for dest in ignored if dest in given]
+    if refused:
+        raise ValueError(f"{mode} does not read {', '.join(refused)}")
+    if opts.get("seed", 0) < 0:
         raise ValueError("--seed must be nonnegative")
     return opts
 
 
-def _require(opts: dict, key: str, flag: str):
+def _require(opts: dict, key: str):
     if opts.get(key) is None:
-        raise ValueError(f"missing required option {flag}")
+        raise ValueError(f"missing required option {_flag(key)}")
     return opts[key]
 
 
 def _out_dir(opts: dict) -> Path:
-    out = _require(opts, "out", "--out")
+    out = _require(opts, "out")
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -290,7 +253,7 @@ def _write_manifest(out_dir: Path, opts: dict):
 
 
 def _load_data(opts: dict) -> StimulusResponseDataset:
-    path = Path(_require(opts, "data", "--data"))
+    path = Path(_require(opts, "data"))
     if not path.exists():
         raise FileNotFoundError(f"dataset not found: {path}")
     return load_dataset(path)
@@ -387,7 +350,7 @@ def _sweep_plan(opts: dict, data: str) -> dict:
 
 def _cmd_rank(opts: dict) -> int:
     out = _out_dir(opts)
-    data = _require(opts, "data", "--data")
+    data = _require(opts, "data")
 
     if opts["sizes"] is not None:
         raw = _sweep_plan(opts, data)
@@ -465,14 +428,13 @@ def _cmd_optimize(opts: dict) -> int:
 
 
 def _cmd_ablate(opts: dict) -> int:
+    if (opts["plan"] is None) == (opts["data"] is None):
+        raise ValueError(f"give one of {_flag('plan')} and {_flag('data')}")
     out = _out_dir(opts)
-    if opts["plan"] is not None and opts["data"] is not None:
-        raise ValueError("give either --plan or --data, not both")
     if opts["plan"] is not None:
         plan = load_plan(opts["plan"])
     else:
-        data = _require(opts, "data", "--data or --plan")
-        raw = _sweep_plan(opts, data)
+        raw = _sweep_plan(opts, opts["data"])
         if opts["thresholds"] is not None:
             raw["ablation_thresholds"] = opts["thresholds"]
         raw["optimization"] = {"budget": opts["budget"], "bounds": opts["bounds"]}
@@ -486,7 +448,7 @@ def _cmd_ablate(opts: dict) -> int:
 def _cmd_recover(opts: dict) -> int:
     out = _out_dir(opts)
     ds = _load_data(opts)
-    zhat_path = _require(opts, "zhat", "--zhat")
+    zhat_path = _require(opts, "zhat")
     with open(zhat_path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if isinstance(raw, dict):

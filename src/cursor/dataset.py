@@ -311,6 +311,11 @@ def _save_csv(ds, path):
 def _load_csv(path, sidecar):
     with open(path) as fh:
         header = fh.readline().strip().split(",")
+        # np.loadtxt warns on a body with no rows before returning it empty.
+        body_start = fh.tell()
+        if not any(line.strip() for line in fh):
+            raise ValueError(f"dataset {path} has a header but no rows")
+        fh.seek(body_start)
         body = np.loadtxt(fh, delimiter=",", ndmin=2)
     dz = sum(1 for c in header if c.startswith("stim_"))
     de = sum(1 for c in header if c.startswith("resp_"))

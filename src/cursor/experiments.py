@@ -703,22 +703,24 @@ def run_plan(plan: ExperimentPlan, out_dir, kinds: tuple[str, ...] = ("sweep",),
     Emits per-cell CSV + JSON-lines detail plus a mean/std summary per
     condition.  Returns {section: list of row dicts}.
     """
+    sweep = run_size_sweep(plan) if "sweep" in kinds else None
+    ablation = run_ablation(plan, mode=ablation_mode) if "ablation" in kinds else None
+    # Nothing is written until every section has run, so a plan that a
+    # section refuses (sizes above N, say) leaves no plan.json behind.
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "plan.json", "w", encoding="utf-8") as fh:
         json.dump(plan.raw, fh, indent=2, sort_keys=True)
     results = {}
-    if "sweep" in kinds:
-        cells = run_size_sweep(plan)
-        rows = _stamp_rows(plan, [c.row() for c in cells])
+    if sweep is not None:
+        rows = _stamp_rows(plan, [c.row() for c in sweep])
         write_table(rows, out_dir / "sweep.csv")
         write_jsonl(rows, out_dir / "sweep_rows.jsonl")
         summary = aggregate(rows, ("size", "estimator"), RANK_METRICS)
         write_table(_stamp_rows(plan, summary), out_dir / "sweep_summary.csv")
         results["sweep"] = rows
-    if "ablation" in kinds:
-        cells = run_ablation(plan, mode=ablation_mode)
-        rows = _stamp_rows(plan, [c.row() for c in cells])
+    if ablation is not None:
+        rows = _stamp_rows(plan, [c.row() for c in ablation])
         write_table(rows, out_dir / "ablation.csv")
         write_jsonl(rows, out_dir / "ablation_rows.jsonl")
         ok = [r for r in rows if r["status"] == "ok"]

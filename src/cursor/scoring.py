@@ -124,11 +124,10 @@ def _splits_digest(splits) -> str:
 class _Fold:
     """One fold of one branch; the dummy estimator needs nothing more."""
 
-    __slots__ = ("train", "val")
+    __slots__ = ("val",)
     path = "mean"
 
-    def __init__(self, train, val):
-        self.train = train
+    def __init__(self, val):
         self.val = val
 
 
@@ -138,8 +137,8 @@ class _FoldCache(_Fold):
     __slots__ = ("u", "s", "vt", "x_val_c")
     path = "svd"
 
-    def __init__(self, x_train, x_val, train, val):
-        super().__init__(train, val)
+    def __init__(self, x_train, x_val, val):
+        super().__init__(val)
         scaler = standardize_fit(x_train)
         xs = standardize_apply(x_train, *scaler)
         xm = xs.mean(axis=0)
@@ -159,8 +158,8 @@ class _GramFold(_Fold):
     __slots__ = ("rows", "sigma", "gain", "v", "x_val_c")
     path = "gram"
 
-    def __init__(self, train, val, rows, sigma, gain, v, x_val_c):
-        super().__init__(train, val)
+    def __init__(self, val, rows, sigma, gain, v, x_val_c):
+        super().__init__(val)
         self.rows = rows
         self.sigma = sigma
         self.gain = gain
@@ -172,7 +171,7 @@ class _GramFold(_Fold):
         return self.v @ (self.gain * (self.v.T @ (g / self.sigma)))
 
 
-def _gram_fold(x0, gram, colsum, rows, rows_val, train, val, spec):
+def _gram_fold(x0, gram, colsum, rows, rows_val, val, spec):
     """The fold from the Gram downdate, or None where that would lose accuracy."""
     n_train, de = rows.shape[0], gram.shape[0]
     if n_train <= de:
@@ -188,7 +187,7 @@ def _gram_fold(x0, gram, colsum, rows, rows_val, train, val, spec):
         return None
     s = np.sqrt(lam[::-1])  # descending, as from an SVD
     gain = spectral_filter(spec.kind, spec.ridge_lambda, s, max(n_train, de)) / s
-    return _GramFold(train, val, rows, sigma, gain, v[:, ::-1], (x_val - mu) / sigma)
+    return _GramFold(val, rows, sigma, gain, v[:, ::-1], (x_val - mu) / sigma)
 
 
 def _target(y_train: np.ndarray):
@@ -198,10 +197,6 @@ def _target(y_train: np.ndarray):
     ys = (y_train - t_mean) / t_std
     ym = float(ys.mean())
     return t_mean, t_std, ys - ym, ym
-
-
-def _branch_digest(folds) -> str:
-    return _splits_digest((fold.train, fold.val) for fold in folds)
 
 
 class HypothesisScorer:
@@ -238,9 +233,8 @@ class HypothesisScorer:
             self._colsum = self._x0.sum(axis=0)
         self._aligned = self._branch(aligned_order)
         self._shuffled = [self._branch(order) for order in shuffled_orders]
-        self._digest_aligned = _branch_digest(self._aligned)
-        # One digest when every shuffled branch used the same folds, else all.
-        self._digest_shuffled = ",".join(sorted({_branch_digest(f) for f in self._shuffled}))
+        # Every branch takes its folds from self.splits.
+        self._digest = _splits_digest(self.splits)
 
     def _branch(self, order):
         return [self._fold(train, val, order) for train, val in self.splits]
@@ -248,13 +242,13 @@ class HypothesisScorer:
     def _fold(self, train, val, order):
         spec = self.cfg.estimator
         if spec.kind == "dummy_mean":
-            return _Fold(train, val)
+            return _Fold(val)
         rows = train if order is None else order[train]
         rows_val = val if order is None else order[val]
-        fold = _gram_fold(self._x0, self._gram, self._colsum, rows, rows_val, train, val, spec)
+        fold = _gram_fold(self._x0, self._gram, self._colsum, rows, rows_val, val, spec)
         if fold is None:
             responses = self.ds.responses
-            fold = _FoldCache(responses[rows], responses[rows_val], train, val)
+            fold = _FoldCache(responses[rows], responses[rows_val], val)
         return fold
 
     def _branch_rmses(self, folds, d, targets) -> list[float]:
@@ -303,8 +297,8 @@ class HypothesisScorer:
             per_fold_aligned=tuple(per_fold_aligned),
             per_fold_shuffled=tuple(per_fold_shuffled),
             seeds=dict(self.seeds),
-            splits_digest_aligned=self._digest_aligned,
-            splits_digest_shuffled=self._digest_shuffled,
+            splits_digest_aligned=self._digest,
+            splits_digest_shuffled=self._digest,
             denominator_floored=rmse_aligned < DENOM_FLOOR,
             degenerate_distances=bool(np.all(d == d[0])),
         )

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from cursor import experiments
-from cursor.cli import build_parser, main
+from cursor.cli import COMMANDS, build_parser, main
 from cursor.dataset import load_dataset
 from cursor.experiments import load_plan, plan_hash
 
@@ -164,12 +164,14 @@ def test_manifest_with_workers_key_replays(tmp_path, data_csv, capsys):
     assert rank_run(data_csv, direct) == 0
     manifest = json.loads((direct / "manifest.json").read_text())
     manifest["options"]["workers"] = 8
+    manifest["options"]["format"] = "csv"  # rank wrote --format until it was removed
     old = tmp_path / "old_manifest.json"
     old.write_text(json.dumps(manifest, indent=2, sort_keys=True))
     assert main(["rank", "--config", str(old), "-o", str(again)]) == 0
     for name in ("rank.csv", "rank_rows.jsonl", "rank_detail.jsonl"):
         assert (direct / name).read_bytes() == (again / name).read_bytes()
-    assert "workers" not in json.loads((again / "manifest.json").read_text())["options"]
+    options = json.loads((again / "manifest.json").read_text())["options"]
+    assert "workers" not in options and "format" not in options
     assert rank_run(data_csv, tmp_path / "flag", ("--workers", "2")) == 2
     capsys.readouterr()
 
@@ -403,6 +405,60 @@ def test_ablate_duplicate_labels_fail_before_plan_json(tmp_path, capsys):
     assert main(["ablate", "--plan", str(plan), "-o", str(out)]) == 2
     assert "labels must be unique" in capsys.readouterr().err
     assert not (out / "plan.json").exists()
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["ablate", "--plan", "{plan}", "--L", "40"], "--L"),
+    (["ablate", "--plan", "{plan}", "--L", "40", "--folds", "7", "--estimator", "ridge",
+      "--seed", "9"], "--L, --estimator, --folds, --seed"),
+    (["ablate", "--plan", "{plan}", "--thresholds", "1"], "--thresholds"),
+    (["rank", "--data", "{data}", *RANK_ARGS, "--replicates", "2"], "--replicates"),
+    (["score", "--data", "{data}", "--hypothesis", "0,0,0,0", "--hypothesis-file", "{h}"],
+     "--hypothesis-file"),
+    (["rank", "--data", "{data}", *RANK_ARGS, "--format", "bin"], "--format"),
+    (["recover", "--data", "{data}", "--zhat", "{h}", "--seed", "1"], "--seed"),
+    (["rank", "--data", "{data}", *RANK_ARGS, "--sizes", "5000"], "exceed dataset size"),
+], ids=["ablate-plan-L", "ablate-plan-many", "ablate-plan-thresholds",
+        "rank-replicates-without-sizes", "score-hypothesis-and-file", "rank-format",
+        "recover-seed", "rank-sizes-above-n"])
+def test_refused_options_write_nothing(tmp_path, data_csv, capsys, argv, needle):
+    # a flag the chosen mode would ignore, or a sweep size above N, is refused
+    # before any output
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({
+        "dataset": {"file": data_csv}, "hypothesis_set": {"count": 6, "d_max": 8},
+        "cv": {"n_folds": 3}, "ablation_thresholds": [1e6], "targets": 1, "replicates": 1,
+    }))
+    hyp = tmp_path / "h.json"
+    hyp.write_text(json.dumps({"coords": [0.0, 0.0, 0.0, 0.0]}))
+    out = tmp_path / "out"
+    names = {"plan": plan, "data": data_csv, "h": hyp}
+    assert main([a.format(**names) for a in argv] + ["-o", str(out)]) == 2
+    assert needle in capsys.readouterr().err
+    assert not (out / "manifest.json").exists() and not (out / "plan.json").exists()
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_manifest_options_are_the_table_options(tmp_path, data_csv, optimize_dir, command):
+    # each command parses, resolves and records exactly the options it reads
+    runs = {
+        "generate": [*GEN_ARGS],
+        "score": ["score", "--data", data_csv, "--hypothesis", "0,0,0,0", "--folds", "3"],
+        "rank": ["rank", "--data", data_csv, *RANK_ARGS],
+        "optimize": ["optimize", "--data", data_csv, *OPT_ARGS],
+        "ablate": ["ablate", "--data", data_csv, "--thresholds", "1e6", *RANK_ARGS],
+        "recover": ["recover", "--data", data_csv, "--zhat", str(optimize_dir / "zhat.json")],
+        "report": ["report", str(optimize_dir)],
+    }
+    assert main(runs[command] + ["-o", str(tmp_path)]) == 0
+    dests = set(COMMANDS[command][1])
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["subcommand"] == command
+    assert set(manifest["options"]) == dests
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    parsed = {a.dest for a in sub.choices[command]._actions} - {"help", "config"}
+    assert parsed == dests
 
 
 def test_report_merges_rank_runs(tmp_path, data_csv):

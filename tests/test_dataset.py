@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,6 +317,19 @@ def test_csv_rows_and_header_must_match(tmp_path, capsys, header, row):
                      "-o", str(tmp_path / "out")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+
+def test_header_only_csv_prints_one_error(tmp_path):
+    # a subprocess, so that a numpy warning would reach the real stderr
+    bad = tmp_path / "h.csv"
+    bad.write_text("stim_0,resp_0\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-m", "cursor.cli", "score", "--data", str(bad),
+                           "--hypothesis", "0", "-o", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: dataset {bad} has a header but no rows\n"
 
 
 # n=20, dz=3, de=4 with truth: 20 header bytes, 8*20*7 = 1120 body bytes,
