@@ -7,9 +7,14 @@ score.  Box constraints are handled by clamping sampled candidates to the
 bounds before evaluation; the clamped points also drive the distribution
 update, so the search mass stays inside the box.
 
+The search itself, _maximize, scores one generation per objective call: the
+objective maps the generation's candidates, one per row, to their scores.
+cmaes_maximize is the scalar-objective wrapper over it.
+
 recover_target wires the optimizer to the scoring machinery: the search runs
-in PCA-reduced latent coordinates, each candidate is lifted back to a full
-latent point, and its score is computed against PCA-reduced responses.
+in PCA-reduced latent coordinates, each generation's candidates are lifted
+back to full latent points, and HypothesisScorer.score_points scores them in
+one call against PCA-reduced responses.
 """
 
 from __future__ import annotations
@@ -168,7 +173,17 @@ def cmaes_maximize(objective, cfg: CmaConfig, distance_fn=None) -> OptimizationT
     objective maps a length-dim vector to a scalar score (higher is better);
     nonfinite returns are flagged and treated as worst-in-generation rather
     than aborting the run.  distance_fn, when given, is evaluated on every
-    candidate for the trace only and never influences the search.
+    candidate for the trace only and never influences the search.  This is a
+    scalar wrapper over the generation-batched _maximize: it scores each
+    generation's candidates one objective call at a time.
+    """
+    return _maximize(lambda ys: [objective(y) for y in ys], cfg, distance_fn)
+
+
+def _maximize(objective, cfg: CmaConfig, distance_fn=None) -> OptimizationTrace:
+    """cmaes_maximize with an objective that scores a whole generation.
+
+    objective maps a (k, dim) array of candidates, one per row, to k scores.
     """
     n = cfg.dim
     lam = cfg.effective_population_size
@@ -220,8 +235,9 @@ def cmaes_maximize(objective, cfg: CmaConfig, distance_fn=None) -> OptimizationT
         cands = np.clip(mean + sigma * steps, cfg.bounds_lo, cfg.bounds_hi)
 
         losses = np.full(lam, np.inf)
+        scores = objective(cands[:room])
         for i in range(room):
-            score = float(objective(cands[i]))
+            score = float(scores[i])
             dist = None if distance_fn is None else float(distance_fn(cands[i]))
             trace.record(cands[i], score, dist)
             if math.isfinite(score):
@@ -285,8 +301,8 @@ def recover_target(
     )
     scorer = HypothesisScorer(reduced, cfg)
 
-    def objective(y: np.ndarray) -> float:
-        return scorer.score_point(pca_inverse(pca_z, y)).score
+    def objective(ys: np.ndarray) -> list[float]:
+        return [rep.score for rep in scorer.score_points(pca_inverse(pca_z, ys))]
 
     distance_fn = None
     if ds.truth is not None:
@@ -295,7 +311,7 @@ def recover_target(
         def distance_fn(y: np.ndarray) -> float:
             return similarity(target, LatentPoint(pca_inverse(pca_z, y)))
 
-    trace = cmaes_maximize(objective, cma, distance_fn)
+    trace = _maximize(objective, cma, distance_fn)
     if trace.best_point is None:
         raise RuntimeError("optimization produced no finite score")
     return LatentPoint(pca_inverse(pca_z, trace.best_point)), trace

@@ -11,7 +11,11 @@ from cursor.optimize import (
     trace_summary,
     trace_to_jsonl,
 )
-from cursor.pca import pca_fit
+from cursor.dataset import StimulusResponseDataset
+from cursor.experiments import DEFAULT_PLAN, recover
+from cursor.pca import pca_fit, pca_inverse, pca_transform
+from cursor.reference import reference_dataset, reference_score_config, trial_seeds
+from cursor.scoring import HypothesisScorer
 
 from conftest import fast_config, tiny_dataset
 
@@ -211,6 +215,28 @@ def test_recover_target_tracks_distance_and_improves():
     assert d_hat < first
     # ends well inside the sampled region
     assert d_hat < 5.0
+
+
+def test_recovery_matches_the_scalar_search():
+    # recover_target scores a generation per call; cmaes_maximize over
+    # score_point scores one candidate per call.  Same search, same points.
+    ds, _ = reference_dataset(0)
+    cfg = reference_score_config(0)
+    opt = {**DEFAULT_PLAN["optimization"], "budget": 200}
+    _, trace, pca_e, pca_z = recover(opt, ds, cfg, trial_seeds(0)["cma"])
+
+    reduced = StimulusResponseDataset(ds.stimuli, pca_transform(pca_e, ds.responses))
+    scorer = HypothesisScorer(reduced, cfg)
+    cma = CmaConfig(dim=pca_z.k, bounds_lo=-opt["bounds"], bounds_hi=opt["bounds"],
+                    population_size=opt["population_size"], sigma0=opt["sigma0"],
+                    max_evaluations=200, seed=trial_seeds(0)["cma"])
+    scalar = cmaes_maximize(lambda y: scorer.score_point(pca_inverse(pca_z, y)).score, cma)
+
+    assert len(trace.evaluations) == len(scalar.evaluations) == 200
+    for got, want in zip(trace.evaluations, scalar.evaluations):
+        assert np.array_equal(got.point, want.point)
+        assert got.score == pytest.approx(want.score, rel=1e-12)
+    assert np.array_equal(trace.best_point, scalar.best_point)
 
 
 def test_recover_target_deterministic():

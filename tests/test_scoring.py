@@ -253,7 +253,13 @@ def _reference_per_fold(ds, d, cfg):
     return branch(aligned_order), [float(np.mean(col)) for col in zip(*runs)]
 
 
-@given(case=st.sampled_from(FOLD_CASES), kind=st.sampled_from(["ols", "ridge"]),
+def _assert_reports_match(got, want, rel):
+    assert got.score == pytest.approx(want.score, rel=rel)
+    assert got.per_fold_aligned == pytest.approx(want.per_fold_aligned, rel=rel)
+    assert got.per_fold_shuffled == pytest.approx(want.per_fold_shuffled, rel=rel)
+
+
+@given(case=st.sampled_from(FOLD_CASES), kind=st.sampled_from(["ols", "ridge", "dummy_mean"]),
        n_shuffles=st.sampled_from([1, 2]), shuffle_aligned=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
 def test_scorer_matches_svd_reference_on_every_fold(case, kind, n_shuffles,
@@ -268,26 +274,41 @@ def test_scorer_matches_svd_reference_on_every_fold(case, kind, n_shuffles,
         n_shuffles=n_shuffles,
         shuffle_aligned=shuffle_aligned,
     )
+    # A random h; a stimulus itself, so d holds an exact 0; a point 1e3 away,
+    # so d has a large mean and a small spread; and row 0 again.
     h = rng.standard_normal(3)
+    far = h + 1e3 * rng.standard_normal(3) / np.sqrt(3.0)
+    H = np.stack([h, ds.stimuli[rng.integers(ds.n)], far, h])
     scorer = HypothesisScorer(ds, cfg)
-    rep = scorer.score_point(h)
+    reps = scorer.score_points(H)
 
-    paths = {fold.path for folds in [scorer._aligned, *scorer._shuffled] for fold in folds}
-    if case in SVD_CASES:
+    paths = {path for branch in [scorer._aligned, *scorer._shuffled] for path in branch.paths}
+    if kind == "dummy_mean":
+        assert paths == {"mean"}
+    elif case in SVD_CASES:
         assert paths == {"svd"}
-    if case in GRAM_CASES:
+    elif case in GRAM_CASES:
         assert paths == {"gram"}
 
-    d = np.linalg.norm(ds.stimuli - h, axis=1)
-    aligned, shuffled = _reference_per_fold(ds, d, cfg)
-    assert rep.per_fold_aligned == pytest.approx(aligned, rel=1e-12)
-    assert rep.per_fold_shuffled == pytest.approx(shuffled, rel=1e-12)
-    assert rep.rmse_aligned == pytest.approx(np.mean(aligned), rel=1e-12)
-    assert rep.rmse_shuffled == pytest.approx(np.mean(shuffled), rel=1e-12)
-    assert rep.score == pytest.approx(np.mean(shuffled) / np.mean(aligned), rel=1e-12)
+    assert len(reps) == len(H)
+    for row, rep in zip(H, reps):
+        d = np.linalg.norm(ds.stimuli - row, axis=1)
+        aligned, shuffled = _reference_per_fold(ds, d, cfg)
+        assert np.array_equal(rep.hypothesis.coords, row)
+        assert rep.per_fold_aligned == pytest.approx(aligned, rel=1e-12)
+        assert rep.per_fold_shuffled == pytest.approx(shuffled, rel=1e-12)
+        assert rep.rmse_aligned == pytest.approx(np.mean(aligned), rel=1e-12)
+        assert rep.rmse_shuffled == pytest.approx(np.mean(shuffled), rel=1e-12)
+        assert rep.score == pytest.approx(np.mean(shuffled) / np.mean(aligned), rel=1e-12)
+        if kind == "dummy_mean":
+            assert rep.score == 1.0
+        _assert_reports_match(rep, scorer.score_point(row), rel=1e-12)
+    for rep, back in zip(reps, scorer.score_points(H[::-1])[::-1]):
+        _assert_reports_match(back, rep, rel=1e-12)
 
 
 def test_reference_config_folds_take_the_gram_path():
     ds, _ = reference_dataset(0)
     scorer = HypothesisScorer(ds, reference_score_config(0))
-    assert {fold.path for fold in scorer._aligned + scorer._shuffled[0]} == {"gram"}
+    assert {path for branch in [scorer._aligned, *scorer._shuffled]
+            for path in branch.paths} == {"gram"}
