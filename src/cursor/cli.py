@@ -308,12 +308,15 @@ def _cmd_generate(opts: dict) -> int:
 def _cmd_score(opts: dict) -> int:
     out = _out_dir(opts)
     ds = _load_data(opts)
-    coords = opts["hypothesis"]
-    if coords is None and opts["hypothesis_file"] is not None:
-        with open(opts["hypothesis_file"], "r", encoding="utf-8") as fh:
+    coords, path = opts["hypothesis"], opts["hypothesis_file"]
+    if coords is None and path is not None:
+        with open(path, "r", encoding="utf-8") as fh:
             coords = json.load(fh)
         if isinstance(coords, dict):
             coords = coords.get("coords")
+        if coords is None:
+            raise ValueError(f"hypothesis file {path} holds neither a coordinate list "
+                             "nor an object with \"coords\"")
     if coords is None:
         raise ValueError("provide --hypothesis or --hypothesis-file")
     cfg = _score_config(opts)

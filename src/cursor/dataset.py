@@ -102,16 +102,14 @@ class StimulusResponseDataset:
         return self.responses.shape[1]
 
 
-def dataset_from_arrays(stimuli, responses, target=None, distances=None,
+def dataset_from_arrays(stimuli, responses, target=None,
                         provenance=None) -> StimulusResponseDataset:
-    """Convenience constructor; derives hidden distances when only a target is given."""
+    """Convenience constructor; derives the hidden distances from a target."""
     stimuli = np.asarray(stimuli, dtype=np.float64)
     truth = None
     if target is not None:
         target = as_point(target)
-        if distances is None:
-            distances = np.linalg.norm(stimuli - target.coords, axis=1)
-        truth = GroundTruth(target, distances)
+        truth = GroundTruth(target, np.linalg.norm(stimuli - target.coords, axis=1))
     return StimulusResponseDataset(stimuli, responses, truth, provenance or {})
 
 
@@ -255,19 +253,17 @@ def ablate_near_target(ds: StimulusResponseDataset, threshold: float) -> Stimulu
 _FULL = "%.17g"  # text format keeps full f64 fidelity
 
 
-def save_dataset(ds: StimulusResponseDataset, path, fmt: str | None = None) -> None:
-    """Write a dataset as CSV or binary, plus a <name>.json provenance sidecar."""
+def save_dataset(ds: StimulusResponseDataset, path) -> None:
+    """Write a dataset, binary under a .bin suffix and CSV otherwise, plus a
+    <name>.json provenance sidecar."""
     import pathlib
 
     path = pathlib.Path(path)
-    if fmt is None:
-        fmt = "bin" if path.suffix == ".bin" else "csv"
-    if fmt == "csv":
-        _save_csv(ds, path)
-    elif fmt == "bin":
+    fmt = "bin" if path.suffix == ".bin" else "csv"
+    if fmt == "bin":
         _save_binary(ds, path)
     else:
-        raise ValueError(f"unknown format {fmt!r}")
+        _save_csv(ds, path)
     sidecar = {
         "format": fmt,
         "stimulus_dim": ds.stimulus_dim,

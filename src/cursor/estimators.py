@@ -24,7 +24,6 @@ __all__ = [
     "CvConfig",
     "EstimatorSpec",
     "cv_splits",
-    "rmse",
     "solve_centered",
     "spectral_filter",
 ]
@@ -87,17 +86,6 @@ def solve_centered(kind: str, lam: float, u: np.ndarray, s: np.ndarray,
     """
     uy = u.T @ yc
     return vt.T @ (uy * spectral_filter(kind, lam, s, max(u.shape[0], vt.shape[1])))
-
-
-def rmse(y_hat, y) -> float:
-    """(1/sqrt(N)) * ||y_hat - y||_2."""
-    y_hat = np.asarray(y_hat, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if y_hat.shape != y.shape or y.ndim != 1:
-        raise ValueError("rmse needs two equal-length vectors")
-    if y.shape[0] < 1:
-        raise ValueError("rmse needs at least one element")
-    return float(np.sqrt(np.mean((y_hat - y) ** 2)))
 
 
 def cv_splits(cv: CvConfig, n: int) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -399,8 +399,8 @@ def _hypothesis_set(plan: ExperimentPlan, ds: StimulusResponseDataset, hset_seed
 RANK_METRICS = ("pearson_r", "target_rank", "d_top_rank")
 
 
-def default_size_ladder(n: int, n_folds: int, rungs: int = SIZE_LADDER_RUNGS) -> list[int]:
-    fracs = np.geomspace(SIZE_LADDER_RATIO, 1.0, rungs)
+def default_size_ladder(n: int, n_folds: int) -> list[int]:
+    fracs = np.geomspace(SIZE_LADDER_RATIO, 1.0, SIZE_LADDER_RUNGS)
     floor = max(n_folds, 2)
     sizes = sorted({min(n, max(floor, int(round(n * f)))) for f in fracs})
     return sizes
@@ -412,7 +412,6 @@ class SweepCell:
     variant: int
     size: int
     estimator: str
-    seeds: dict
     report: RankReport
 
     def row(self) -> dict:
@@ -452,9 +451,8 @@ def run_size_sweep(plan: ExperimentPlan) -> list[SweepCell]:
                 ds = subsample(ds, size, derive_seed(plan.master_seed, "subsample", t, v, size))
             hset = _hypothesis_set(plan, ds, seeds["hypothesis_set"])
             cfg = score_config(plan.raw, spec, shuffled, seeds["cv"], seeds["perm"])
-            rep = rank_report(ds, hset, cfg, true_target=ds.truth.target)
             return SweepCell(target=t, variant=v, size=size, estimator=key,
-                             seeds=seeds, report=rep)
+                             report=rank_report(ds, hset, cfg))
         return job
 
     # Jobs run only after every replicate's sizes are checked.
@@ -489,7 +487,6 @@ class AblationCell:
     estimator: str
     mode: str  # "ranking" or "optimization"
     status: str  # "ok" or "skipped"
-    seeds: dict
     report: RankReport | None = None
     recovered_distance: float | None = None
     best_score: float | None = None
@@ -522,8 +519,11 @@ def recover(optimization: dict, ds: StimulusResponseDataset, cfg: ScoreConfig, c
     reduce_latents default to default_response_k/default_latent_k) and
     returns (zhat, trace, pca_e, pca_z).
     """
-    k_e = optimization["reduce_responses"] or default_response_k(ds.response_dim)
-    k_z = optimization["reduce_latents"] or default_latent_k(ds.stimulus_dim)
+    k_e, k_z = optimization["reduce_responses"], optimization["reduce_latents"]
+    if k_e is None:
+        k_e = default_response_k(ds.response_dim)
+    if k_z is None:
+        k_z = default_latent_k(ds.stimulus_dim)
     pca_e = pca_fit(ds.responses, k_e)
     pca_z = pca_fit(ds.stimuli, k_z)
     cma = CmaConfig(
@@ -563,15 +563,9 @@ def run_ablation(plan: ExperimentPlan, mode: str = "ranking") -> list[AblationCe
             try:
                 ablated = ablate_near_target(full, thr)
             except ValueError:
-                skipped = dict(seeds)
-                cells = []
-                for cond in ("ablated", "control"):
-                    cells.append(AblationCell(
-                        target=t, variant=v, threshold=thr, condition=cond,
-                        size=0, estimator=key, mode=mode, status="skipped",
-                        seeds=skipped,
-                    ))
-                return cells
+                return [AblationCell(target=t, variant=v, threshold=thr, condition=cond,
+                                     size=0, estimator=key, mode=mode, status="skipped")
+                        for cond in ("ablated", "control")]
             control = subsample(
                 full, ablated.n,
                 derive_seed(plan.master_seed, "ablation-control", t, v, f"{thr:.6g}"),
@@ -581,11 +575,10 @@ def run_ablation(plan: ExperimentPlan, mode: str = "ranking") -> list[AblationCe
             for cond, ds in (("ablated", ablated), ("control", control)):
                 if mode == "ranking":
                     hset = _hypothesis_set(plan, ds, seeds["hypothesis_set"])
-                    rep = rank_report(ds, hset, cfg, true_target=ds.truth.target)
                     cells.append(AblationCell(
                         target=t, variant=v, threshold=thr, condition=cond,
                         size=ds.n, estimator=key, mode=mode, status="ok",
-                        seeds=seeds, report=rep,
+                        report=rank_report(ds, hset, cfg),
                     ))
                 else:
                     zhat, trace, _, _ = recover(plan.raw["optimization"], ds, cfg, seeds["cma"])
@@ -593,7 +586,7 @@ def run_ablation(plan: ExperimentPlan, mode: str = "ranking") -> list[AblationCe
                     cells.append(AblationCell(
                         target=t, variant=v, threshold=thr, condition=cond,
                         size=ds.n, estimator=key, mode=mode, status="ok",
-                        seeds=seeds, recovered_distance=dist,
+                        recovered_distance=dist,
                         best_score=trace.best_score,
                         evaluations=len(trace.evaluations),
                     ))

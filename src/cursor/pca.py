@@ -115,13 +115,20 @@ def save_pca(m: PcaModel, path) -> None:
 
 def load_pca(path) -> PcaModel:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != PCA_MAGIC:
-            raise ValueError(f"bad magic bytes {magic!r}")
-        version, d, k = struct.unpack("<III", fh.read(12))
-        if version != PCA_VERSION:
-            raise ValueError(f"unsupported format version {version}")
-        mean = np.frombuffer(fh.read(8 * d), dtype="<f8")
-        components = np.frombuffer(fh.read(8 * k * d), dtype="<f8").reshape(k, d)
-        explained = np.frombuffer(fh.read(8 * k), dtype="<f8")
-    return PcaModel(mean, components, explained, input_dim=d, k=k)
+        raw = fh.read()
+    if raw[:4] != PCA_MAGIC:
+        raise ValueError(f"bad magic bytes {raw[:4]!r}")
+    if len(raw) < 16:
+        raise ValueError(f"truncated or oversized PCA file {path}: "
+                         f"{len(raw)} bytes, shorter than its 16-byte header")
+    version, d, k = struct.unpack_from("<III", raw, 4)
+    if version != PCA_VERSION:
+        raise ValueError(f"unsupported format version {version}")
+    # f8 mean (d), components (k x d), then explained variance (k)
+    expected = 16 + 8 * (d + k * d + k)
+    if len(raw) != expected:
+        raise ValueError(f"truncated or oversized PCA file {path}: "
+                         f"{len(raw)} bytes, its header implies {expected}")
+    values = np.frombuffer(raw, dtype="<f8", offset=16)
+    mean, components, explained = values[:d], values[d:d + k * d], values[d + k * d:]
+    return PcaModel(mean, components.reshape(k, d), explained, input_dim=d, k=k)

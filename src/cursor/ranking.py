@@ -138,47 +138,26 @@ class RankReport:
     target_rank: int | None
     d_top_rank: float
     scores: tuple[float, ...]
-    tie_seed: int
-    top_index: int
     hypothesis_distances: tuple[float, ...]
-    seeds: dict
 
 
-def rank_report(ds, hset: HypothesisSet, cfg: ScoreConfig,
-                true_target=None) -> RankReport:
+def rank_report(ds, hset: HypothesisSet, cfg: ScoreConfig) -> RankReport:
     """Score every hypothesis and compute the three ranking metrics.
 
-    true_target defaults to the dataset's hidden target; evaluation is
+    Distances are measured to the dataset's hidden target; evaluation is
     impossible without one.  Ties are broken with a seed derived from the
     config's seeds and the hypothesis set's seed.
     """
-    if true_target is None:
-        if ds.truth is None:
-            raise ValueError("rank_report needs a true target (argument or hidden truth)")
-        true_target = ds.truth.target
-    true_target = as_point(true_target)
+    if ds.truth is None:
+        raise ValueError("rank_report needs a dataset with a hidden target")
     tie_seed = derive_seed(cfg.cv.seed, cfg.perm_seed, hset.seed, "tie")
-
-    reports = score_batch(ds, list(hset.hypotheses), cfg)
-    failed = [(i, r.error) for i, r in enumerate(reports) if r.error is not None]
-    if failed:
-        raise RuntimeError(f"scoring failed for hypotheses {failed}")
-
-    scores = np.array([r.score for r in reports])
-    distances = np.array([similarity(true_target, h) for h in hset.hypotheses])
-    r, rank, d_top, top = metrics_from_scores(scores, distances, hset.includes_target_at, tie_seed)
+    scores = np.array([r.score for r in score_batch(ds, list(hset.hypotheses), cfg)])
+    distances = np.array([similarity(ds.truth.target, h) for h in hset.hypotheses])
+    r, rank, d_top, _ = metrics_from_scores(scores, distances, hset.includes_target_at, tie_seed)
     return RankReport(
         pearson_r=r,
         target_rank=rank,
         d_top_rank=d_top,
         scores=tuple(float(s) for s in scores),
-        tie_seed=int(tie_seed),
-        top_index=top,
         hypothesis_distances=tuple(float(d) for d in distances),
-        seeds={
-            "hypothesis_set_seed": int(hset.seed),
-            "cv_seed": int(cfg.cv.seed),
-            "perm_seed": int(cfg.perm_seed),
-            "tie_seed": int(tie_seed),
-        },
     )

@@ -176,7 +176,7 @@ def run_trial(trial: int, model: ResponseModel | None = None,
     t_rank = time.perf_counter()
 
     hset_wo = reference_hypothesis_set(trial, target, include_target=False)
-    rep_wo = rank_report(ds, hset_wo, config("ols"), true_target=target)
+    rep_wo = rank_report(ds, hset_wo, config("ols"))
     row["comparator_d_top"] = rep_wo.d_top_rank
 
     for label in _CONDITIONS:

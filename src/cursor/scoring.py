@@ -104,7 +104,6 @@ class ScoreReport:
     splits_digest_shuffled: str = ""
     denominator_floored: bool = False
     degenerate_distances: bool = False
-    error: str | None = None
 
 
 def report_to_json(report: ScoreReport) -> str:
@@ -121,7 +120,6 @@ def report_to_json(report: ScoreReport) -> str:
         "splits_digest_shuffled": report.splits_digest_shuffled,
         "denominator_floored": report.denominator_floored,
         "degenerate_distances": report.degenerate_distances,
-        "error": report.error,
     }
     return json.dumps(payload, sort_keys=True)
 
@@ -165,8 +163,9 @@ def _gram_factors(x_val, gram, colsum, n_train, spec):
         return None
     mu = (colsum - x_val.sum(axis=0)) / n_train
     c = gram - x_val.T @ x_val - n_train * np.outer(mu, mu)
-    sigma = np.sqrt(np.diag(c) / (n_train - 1))
-    if not np.all(sigma >= STD_FLOOR):  # a NaN from a rounded-negative variance fails too
+    # A variance rounded below zero gives sigma 0, which fails the floor too.
+    sigma = np.sqrt(np.maximum(np.diag(c), 0.0) / (n_train - 1))
+    if not np.all(sigma >= STD_FLOOR):
         return None
     lam, v = np.linalg.eigh(c / np.outer(sigma, sigma))
     if not lam[0] > GRAM_MIN_EIG_RATIO * lam[-1]:
@@ -395,31 +394,14 @@ def _batch_cfg(cfg: ScoreConfig, index: int) -> ScoreConfig:
     )
 
 
-def _score_or_marker(ds, h, cfg: ScoreConfig) -> ScoreReport:
-    try:
-        return score(ds, h, cfg)
-    except Exception as exc:  # error marker, keep the batch going
-        return ScoreReport(
-            hypothesis=as_point(h),
-            score=float("nan"),
-            rmse_aligned=float("nan"),
-            rmse_shuffled=float("nan"),
-            per_fold_aligned=(),
-            per_fold_shuffled=(),
-            seeds={},
-            error=f"{type(exc).__name__}: {exc}",
-        )
-
-
 def score_batch(ds: StimulusResponseDataset, hypotheses, cfg: ScoreConfig) -> list[ScoreReport]:
     """Score a list of hypotheses; output order matches input order.
 
     Every hypothesis gets its own seeds derived from (cfg seeds, index), so
-    its score depends on its position but not on the rest of the list.  A
-    failed hypothesis yields a report with an error marker instead of aborting.
+    its score depends on its position but not on the rest of the list.  The
+    first hypothesis that cannot be scored raises its error.
     """
-    hypotheses = [as_point(h) for h in hypotheses]
-    if not hypotheses:
+    points = [as_point(h) for h in hypotheses]
+    if not points:
         raise ValueError("hypothesis list must be nonempty")
-    return [_score_or_marker(ds, h, _batch_cfg(cfg, index))
-            for index, h in enumerate(hypotheses)]
+    return [score(ds, h, _batch_cfg(cfg, i)) for i, h in enumerate(points)]

@@ -1,4 +1,4 @@
-"""Reference estimator path for checking the scorer: fit, predict, cv_rmse.
+"""Reference estimator path for checking the scorer: fit, predict, rmse, cv_rmse.
 
 This is the straightforward per-fold version of what
 cursor.scoring.HypothesisScorer computes with cached factorizations: scalers
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cursor.dataset import standardize_apply, standardize_fit
-from cursor.estimators import CvConfig, EstimatorSpec, cv_splits, rmse
+from cursor.estimators import CvConfig, EstimatorSpec, cv_splits
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,6 +94,17 @@ def predict(est: FittedEstimator, X) -> np.ndarray:
         y_std = xc @ est.weights + est.intercept
     t_mean, t_std = est.target_scaler
     return y_std * t_std + t_mean
+
+
+def rmse(y_hat, y) -> float:
+    """(1/sqrt(N)) * ||y_hat - y||_2."""
+    y_hat = np.asarray(y_hat, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if y_hat.shape != y.shape or y.ndim != 1:
+        raise ValueError("rmse needs two equal-length vectors")
+    if y.shape[0] < 1:
+        raise ValueError("rmse needs at least one element")
+    return float(np.sqrt(np.mean((y_hat - y) ** 2)))
 
 
 def cv_rmse(spec: EstimatorSpec, X, y, cv: CvConfig,

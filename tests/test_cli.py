@@ -254,6 +254,20 @@ def test_file_plan_reads_its_dataset_once(tmp_path, data_csv, monkeypatch, comma
     assert len(calls) == 1
 
 
+def test_rank_scoring_error_exits_2(tmp_path, capsys):
+    # more folds than rows: the scorer's own ValueError reaches the CLI once
+    gen = tmp_path / "gen"
+    assert main(["generate", "--trajectories", "10", "--points", "3", "--latent-dim", "4",
+                 "--response-dim", "8", "--k-signal", "2", "--nuisance-rank", "2",
+                 "--seed", "5", "-o", str(gen)]) == 0
+    capsys.readouterr()
+    code = main(["rank", "--data", str(gen / "dataset.csv"), "--folds", "40", "--L", "5",
+                 "-o", str(tmp_path / "run")])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "n_folds" in lines[0]
+
+
 def test_rank_sizes_accepts_one_fold(tmp_path):
     # plain rank takes --folds 1, so the size sweep's plan must too
     gen = tmp_path / "gen"
@@ -418,12 +432,17 @@ def test_ablate_duplicate_labels_fail_before_plan_json(tmp_path, capsys):
     (["rank", "--data", "{data}", *RANK_ARGS, "--format", "bin"], "--format"),
     (["recover", "--data", "{data}", "--zhat", "{h}", "--seed", "1"], "--seed"),
     (["rank", "--data", "{data}", *RANK_ARGS, "--sizes", "5000"], "exceed dataset size"),
+    (["score", "--data", "{data}", "--hypothesis-file", "{data}.json"],
+     "{data}.json holds neither a coordinate list"),
+    (["optimize", "--data", "{data}", *OPT_ARGS, "--reduce-responses", "0"], "k must be in [1, "),
+    (["optimize", "--data", "{data}", *OPT_ARGS, "--reduce-latents", "0"], "k must be in [1, "),
 ], ids=["ablate-plan-L", "ablate-plan-many", "ablate-plan-thresholds",
         "rank-replicates-without-sizes", "score-hypothesis-and-file", "rank-format",
-        "recover-seed", "rank-sizes-above-n"])
+        "recover-seed", "rank-sizes-above-n", "score-file-without-coords",
+        "optimize-zero-response-components", "optimize-zero-latent-components"])
 def test_refused_options_write_nothing(tmp_path, data_csv, capsys, argv, needle):
-    # a flag the chosen mode would ignore, or a sweep size above N, is refused
-    # before any output
+    # a flag the chosen mode would ignore, a value it cannot use, or a sweep
+    # size above N, is refused before any output
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({
         "dataset": {"file": data_csv}, "hypothesis_set": {"count": 6, "d_max": 8},
@@ -434,7 +453,7 @@ def test_refused_options_write_nothing(tmp_path, data_csv, capsys, argv, needle)
     out = tmp_path / "out"
     names = {"plan": plan, "data": data_csv, "h": hyp}
     assert main([a.format(**names) for a in argv] + ["-o", str(out)]) == 2
-    assert needle in capsys.readouterr().err
+    assert needle.format(**names) in capsys.readouterr().err
     assert not (out / "manifest.json").exists() and not (out / "plan.json").exists()
 
 

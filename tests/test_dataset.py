@@ -243,7 +243,7 @@ def test_standardize_vector_squeeze():
 def test_save_load_round_trip(tmp_path, fmt, suffix):
     ds, _ = tiny_dataset(seed=3)
     path = tmp_path / f"data{suffix}"
-    save_dataset(ds, path, fmt=fmt)
+    save_dataset(ds, path)
     back = load_dataset(path)
     if fmt == "bin":
         assert np.array_equal(back.stimuli, ds.stimuli)

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cursor.estimators import CvConfig, EstimatorSpec, cv_splits, rmse, solve_centered
+from cursor.estimators import CvConfig, EstimatorSpec, cv_splits, solve_centered
 
-from svd_reference import cv_rmse, fit, predict
+from svd_reference import cv_rmse, fit, predict, rmse
 
 
 def _linear_problem(n=40, d=5, noise=0.0, seed=0):

@@ -178,7 +178,7 @@ def test_sweep_full_size_cell_matches_plain_ranking_run():
             ds = subsample(ds_full, cell.size, sub_seed)
         hset = build_hypothesis_set(ds.truth.target, 6, 8.0,
                                     seeds["hypothesis_set"], include_target=True)
-        rep = rank_report(ds, hset, cfg, true_target=ds.truth.target)
+        rep = rank_report(ds, hset, cfg)
         assert cell.report.scores == rep.scores
         assert cell.report.pearson_r == rep.pearson_r
         assert cell.report.target_rank == rep.target_rank

@@ -137,6 +137,19 @@ def test_binary_round_trip(tmp_path):
     assert np.array_equal(back.explained_variance, m.explained_variance)
 
 
+# d=5, k=4: a 16-byte header, then 8*(5 + 4*5 + 4) = 232 bytes of f8 values
+@pytest.mark.parametrize("size", [10, 16 + 100, 248 + 8], ids=["header", "body", "trailing"])
+def test_binary_size_must_match_header(tmp_path, size):
+    path = tmp_path / "model.bin"
+    save_pca(pca_fit(_cloud(n=30, d=5, seed=11), 4), path)
+    raw = path.read_bytes()
+    assert len(raw) == 248
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes((raw + bytes(8))[:size])
+    with pytest.raises(ValueError, match="truncated or oversized PCA file"):
+        load_pca(bad)
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         PcaModel(

@@ -155,7 +155,7 @@ def test_rank_report_smoke_and_fields():
 def test_rank_report_without_target_needs_reference():
     ds, target = tiny_dataset(seed=23, noise=0.3)
     hs = build_hypothesis_set(target, L=6, d_max=15.0, seed=24, include_target=False)
-    rep = rank_report(ds, hs, fast_config(seed=25), true_target=target)
+    rep = rank_report(ds, hs, fast_config(seed=25))
     assert rep.target_rank is None
     assert rep.d_top_rank > 0.0
 

@@ -134,7 +134,6 @@ def test_report_json_round_trip():
     assert tuple(back["per_fold_aligned"]) == rep.per_fold_aligned
     assert back["seeds"] == rep.seeds
     assert np.array_equal(back["hypothesis"], rep.hypothesis.coords)
-    assert back["error"] is None
 
 
 def test_scorer_point_matches_score_function():
@@ -166,14 +165,12 @@ def test_batch_per_hypothesis_seeds_differ():
     assert reps[0].score != reps[1].score
 
 
-def test_batch_error_marker_keeps_going():
+def test_batch_raises_on_a_bad_hypothesis():
     ds, target = tiny_dataset(seed=16)
     cfg = fast_config(seed=16)
     bad = np.zeros(ds.stimulus_dim + 1)  # wrong dimension
-    reps = score_batch(ds, [target.coords, bad, target.coords + 1.0], cfg)
-    assert reps[0].error is None
-    assert reps[1].error is not None and np.isnan(reps[1].score)
-    assert reps[2].error is None
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        score_batch(ds, [target.coords, bad, target.coords + 1.0], cfg)
 
 
 def test_batch_rejects_empty():
