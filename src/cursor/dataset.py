@@ -239,8 +239,8 @@ def ablate_near_target(ds: StimulusResponseDataset, threshold: float) -> Stimulu
     """Drop every pair whose hidden distance falls below threshold."""
     if ds.truth is None:
         raise ValueError("ablation requires hidden ground truth")
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
+    if not threshold >= 0:
+        raise ValueError(f"threshold must be nonnegative, got {threshold}")
     idx = np.flatnonzero(ds.truth.distances >= threshold)
     if idx.size == 0:
         raise ValueError(f"threshold {threshold} removes every pair")
@@ -249,9 +249,6 @@ def ablate_near_target(ds: StimulusResponseDataset, threshold: float) -> Stimulu
 
 # ---------------------------------------------------------------------------
 # Persistence
-
-_FULL = "%.17g"  # text format keeps full f64 fidelity
-
 
 def save_dataset(ds: StimulusResponseDataset, path) -> None:
     """Write a dataset, binary under a .bin suffix and CSV otherwise, plus a
@@ -292,16 +289,13 @@ def load_dataset(path) -> StimulusResponseDataset:
 def _save_csv(ds, path):
     dz, de = ds.stimulus_dim, ds.response_dim
     header = [f"stim_{j}" for j in range(dz)] + [f"resp_{j}" for j in range(de)]
+    columns = [ds.stimuli, ds.responses]
     if ds.truth is not None:
         header.append("true_dist")
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(ds.n):
-            row = [_FULL % v for v in ds.stimuli[i]]
-            row += [_FULL % v for v in ds.responses[i]]
-            if ds.truth is not None:
-                row.append(_FULL % ds.truth.distances[i])
-            fh.write(",".join(row) + "\n")
+        columns.append(ds.truth.distances[:, None])
+    # %.17g keeps full f64 fidelity
+    np.savetxt(path, np.hstack(columns), fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")
 
 
 def _load_csv(path, sidecar):

@@ -40,8 +40,8 @@ class EstimatorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.ridge_lambda < 0:
-            raise ValueError("ridge_lambda must be >= 0")
+        if not 0 <= self.ridge_lambda < np.inf:
+            raise ValueError(f"ridge_lambda must be finite and >= 0, got {self.ridge_lambda}")
 
 
 @dataclass(frozen=True)

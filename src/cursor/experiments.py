@@ -238,6 +238,10 @@ class ExperimentPlan:
             # defaults added a generator next to an explicit file source
             resolved["dataset"] = {"file": resolved["dataset"]["file"]}
         object.__setattr__(self, "raw", resolved)
+        # jsonschema's minimum lets NaN through: every comparison with it is false
+        bad = [t for t in resolved["ablation_thresholds"] if not t >= 0]
+        if bad:
+            raise ValueError(f"ablation_thresholds must be >= 0, got {bad}")
         keys = [key for key, _, _ in self.estimator_entries()]
         if len(set(keys)) != len(keys):
             raise ValueError("estimator labels must be unique")

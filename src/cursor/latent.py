@@ -1,4 +1,4 @@
-"""Latent-space geometry: points, distances, and trajectory sampling.
+"""Latent-space geometry: points, distances, and trajectory distance ladders.
 
 The latent space is plain Euclidean R^dim.  A trajectory is a set of points
 on a single ray from a target, placed analytically at prescribed distances
@@ -18,10 +18,8 @@ __all__ = [
     "ACQUISITION_D_MAX",
     "LOG_DISTANCE_FLOOR",
     "LatentPoint",
-    "TrajectorySpec",
     "as_point",
     "point_at_distance",
-    "sample_trajectory",
     "similarity",
 ]
 
@@ -73,10 +71,11 @@ def point_at_distance(target: LatentPoint, d: float, seed: int) -> LatentPoint:
     target = as_point(target)
     if not np.isfinite(d) or d < 0:
         raise ValueError(f"distance must be finite and >= 0, got {d}")
-    return LatentPoint(target.coords + d * _unit_direction(target.dim, seed))
+    return LatentPoint(target.coords + d * unit_direction(target.dim, seed))
 
 
-def _unit_direction(dim: int, seed: int) -> np.ndarray:
+def unit_direction(dim: int, seed: int) -> np.ndarray:
+    """A seeded unit vector in R^dim."""
     rng = derive_rng(seed, "direction")
     while True:
         u = rng.standard_normal(dim)
@@ -85,34 +84,19 @@ def _unit_direction(dim: int, seed: int) -> np.ndarray:
             return u / norm
 
 
-@dataclass(frozen=True)
-class TrajectorySpec:
-    """One ray of stimuli: n_points at distances d_min..d_max from target."""
-
-    target: LatentPoint
-    n_points: int
-    d_min: float = 0.0
-    d_max: float = ACQUISITION_D_MAX
-    spacing: str = "logarithmic"
-    direction_seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "target", as_point(self.target))
-        if self.n_points < 1:
-            raise ValueError("n_points must be >= 1")
-        if not (0 <= self.d_min <= self.d_max):
-            raise ValueError(f"need 0 <= d_min <= d_max, got [{self.d_min}, {self.d_max}]")
-        if self.d_max > ACQUISITION_D_MAX:
-            raise ValueError(f"d_max {self.d_max} exceeds {ACQUISITION_D_MAX}")
-        if self.spacing not in ("uniform", "logarithmic"):
-            raise ValueError(f"unknown spacing {self.spacing!r}")
-
-
-def trajectory_distances(spec: TrajectorySpec) -> np.ndarray:
-    """The sorted distance ladder a TrajectorySpec prescribes."""
-    n, lo, hi = spec.n_points, spec.d_min, spec.d_max
-    if spec.spacing == "uniform":
+def trajectory_distances(n_points: int, d_min: float, d_max: float, spacing: str) -> np.ndarray:
+    """The sorted ladder of n_points distances from d_min to d_max."""
+    n, lo, hi = n_points, d_min, d_max
+    if n < 1:
+        raise ValueError("n_points must be >= 1")
+    if not (0 <= lo <= hi):
+        raise ValueError(f"need 0 <= d_min <= d_max, got [{lo}, {hi}]")
+    if hi > ACQUISITION_D_MAX:
+        raise ValueError(f"d_max {hi} exceeds {ACQUISITION_D_MAX}")
+    if spacing == "uniform":
         return np.linspace(lo, hi, n)
+    if spacing != "logarithmic":
+        raise ValueError(f"unknown spacing {spacing!r}")
     if lo > 0:
         return np.geomspace(lo, hi, n)
     # Log of zero is undefined: pin the first sample at 0 and log-space the
@@ -121,16 +105,3 @@ def trajectory_distances(spec: TrajectorySpec) -> np.ndarray:
         return np.zeros(n)
     floor = min(LOG_DISTANCE_FLOOR, hi)
     return np.concatenate([[0.0], np.geomspace(floor, hi, n - 1)])
-
-
-def sample_trajectory(spec: TrajectorySpec) -> list[tuple[LatentPoint, float]]:
-    """Place spec.n_points on one seeded ray from the target.
-
-    Returns (point, true_distance) pairs ordered by increasing distance.
-    """
-    u = _unit_direction(spec.target.dim, spec.direction_seed)
-    out = []
-    for d in trajectory_distances(spec):
-        d = float(d)
-        out.append((LatentPoint(spec.target.coords + d * u), d))
-    return out

@@ -78,8 +78,8 @@ class CmaConfig:
         object.__setattr__(self, "bounds_hi", hi)
         if self.population_size is not None and self.population_size < 2:
             raise ValueError("population_size must be at least 2")
-        if self.sigma0 is not None and not self.sigma0 > 0:
-            raise ValueError("sigma0 must be positive")
+        if self.sigma0 is not None and not 0 < self.sigma0 < math.inf:
+            raise ValueError(f"sigma0 must be positive and finite, got {self.sigma0}")
         if self.max_evaluations < 1:
             raise ValueError("max_evaluations must be at least 1")
 

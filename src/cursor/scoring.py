@@ -100,8 +100,8 @@ class ScoreReport:
     per_fold_aligned: tuple[float, ...]
     per_fold_shuffled: tuple[float, ...]
     seeds: dict
-    splits_digest_aligned: str = ""
-    splits_digest_shuffled: str = ""
+    # Both branches use the same folds, so one digest covers them.
+    splits_digest: str
     denominator_floored: bool = False
     degenerate_distances: bool = False
 
@@ -116,8 +116,7 @@ def report_to_json(report: ScoreReport) -> str:
         "per_fold_aligned": list(report.per_fold_aligned),
         "per_fold_shuffled": list(report.per_fold_shuffled),
         "seeds": report.seeds,
-        "splits_digest_aligned": report.splits_digest_aligned,
-        "splits_digest_shuffled": report.splits_digest_shuffled,
+        "splits_digest": report.splits_digest,
         "denominator_floored": report.denominator_floored,
         "degenerate_distances": report.degenerate_distances,
     }
@@ -368,8 +367,7 @@ class HypothesisScorer:
                 per_fold_aligned=tuple(per_fold_aligned[b].tolist()),
                 per_fold_shuffled=tuple(per_fold_shuffled[b].tolist()),
                 seeds=dict(self.seeds),
-                splits_digest_aligned=self._digest,
-                splits_digest_shuffled=self._digest,
+                splits_digest=self._digest,
                 denominator_floored=bool(rmse_aligned[b] < DENOM_FLOOR),
                 degenerate_distances=bool(degenerate[b]),
             )

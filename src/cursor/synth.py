@@ -19,7 +19,7 @@ import numpy as np
 
 from ._util import derive_rng, derive_seed
 from .dataset import GroundTruth, StimulusResponseDataset
-from .latent import ACQUISITION_D_MAX, TrajectorySpec, as_point, sample_trajectory
+from .latent import ACQUISITION_D_MAX, as_point, trajectory_distances, unit_direction
 
 __all__ = [
     "Link",
@@ -145,26 +145,19 @@ def generate_dataset(targets, trajectories_per_target: int, points_per_trajector
     if trajectories_per_target < 1 or points_per_trajectory < 1:
         raise ValueError("trajectory counts must be positive")
 
-    stimuli, responses, distances = [], [], []
+    ladder = trajectory_distances(points_per_trajectory, d_min, d_max, spacing)
+    stimuli, responses = [], []
     for ti, target in enumerate(targets):
         for tj in range(trajectories_per_target):
-            spec = TrajectorySpec(
-                target=target,
-                n_points=points_per_trajectory,
-                d_min=d_min,
-                d_max=d_max,
-                spacing=spacing,
-                direction_seed=derive_seed(master_seed, ti, tj, "trajectory"),
-            )
-            for pk, (point, dist) in enumerate(sample_trajectory(spec)):
+            u = unit_direction(dim, derive_seed(master_seed, ti, tj, "trajectory"))
+            stimuli.append(target.coords + ladder[:, None] * u)
+            for pk, dist in enumerate(ladder):
                 trial_seed = derive_seed(master_seed, ti, tj, pk, "trial")
-                stimuli.append(point.coords)
                 responses.append(simulate_response(model, dist, trial_seed))
-                distances.append(dist)
 
     truth = None
     if len(targets) == 1:
-        truth = GroundTruth(targets[0], np.asarray(distances))
+        truth = GroundTruth(targets[0], np.tile(ladder, trajectories_per_target))
     provenance = {
         "generator": {
             "master_seed": int(master_seed),
@@ -186,4 +179,4 @@ def generate_dataset(targets, trajectories_per_target: int, points_per_trajector
             },
         }
     }
-    return StimulusResponseDataset(np.asarray(stimuli), np.asarray(responses), truth, provenance)
+    return StimulusResponseDataset(np.vstack(stimuli), np.asarray(responses), truth, provenance)

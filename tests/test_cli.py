@@ -436,13 +436,19 @@ def test_ablate_duplicate_labels_fail_before_plan_json(tmp_path, capsys):
      "{data}.json holds neither a coordinate list"),
     (["optimize", "--data", "{data}", *OPT_ARGS, "--reduce-responses", "0"], "k must be in [1, "),
     (["optimize", "--data", "{data}", *OPT_ARGS, "--reduce-latents", "0"], "k must be in [1, "),
+    (["score", "--data", "{data}", "--hypothesis", "0,0,0,0", "--estimator", "ridge",
+      "--ridge-lambda", "nan"], "ridge_lambda must be finite"),
+    (["ablate", "--data", "{data}", *RANK_ARGS, "--thresholds", "nan,2"],
+     "ablation_thresholds must be >= 0"),
+    (["optimize", "--data", "{data}", *OPT_ARGS, "--sigma0", "inf"], "sigma0 must be positive"),
 ], ids=["ablate-plan-L", "ablate-plan-many", "ablate-plan-thresholds",
         "rank-replicates-without-sizes", "score-hypothesis-and-file", "rank-format",
         "recover-seed", "rank-sizes-above-n", "score-file-without-coords",
-        "optimize-zero-response-components", "optimize-zero-latent-components"])
+        "optimize-zero-response-components", "optimize-zero-latent-components",
+        "score-ridge-lambda-nan", "ablate-threshold-nan", "optimize-sigma0-inf"])
 def test_refused_options_write_nothing(tmp_path, data_csv, capsys, argv, needle):
-    # a flag the chosen mode would ignore, a value it cannot use, or a sweep
-    # size above N, is refused before any output
+    # a flag the chosen mode would ignore, a value it cannot use (NaN and inf
+    # included), or a sweep size above N, is refused before any output
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({
         "dataset": {"file": data_csv}, "hypothesis_set": {"count": 6, "d_max": 8},

@@ -257,6 +257,21 @@ def test_save_load_round_trip(tmp_path, fmt, suffix):
     assert back.provenance["generator"] == ds.provenance["generator"]
 
 
+
+def test_csv_bytes_are_pinned(tmp_path):
+    # %.17g in each of its shapes: signed zero, 17 significant digits, a tiny
+    # and a huge exponent, and an integer
+    truth = GroundTruth(LatentPoint([0.0, 0.0]), [0.1, 5.0])
+    ds = StimulusResponseDataset([[-0.0, 0.1], [0.0, 5.0]], [[1 / 3, 1e-300], [1e22, -0.0]], truth)
+    path = tmp_path / "data.csv"
+    save_dataset(ds, path)
+    assert path.read_text() == (
+        "stim_0,stim_1,resp_0,resp_1,true_dist\n"
+        "-0,0.10000000000000001,0.33333333333333331,1e-300,0.10000000000000001\n"
+        "0,5,1e+22,-0,5\n"
+    )
+
+
 def test_sidecar_contents(tmp_path):
     ds, _ = tiny_dataset(seed=3)
     path = tmp_path / "data.bin"

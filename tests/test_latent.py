@@ -8,10 +8,8 @@ from cursor.latent import (
     ACQUISITION_D_MAX,
     LOG_DISTANCE_FLOOR,
     LatentPoint,
-    TrajectorySpec,
     as_point,
     point_at_distance,
-    sample_trajectory,
     similarity,
     trajectory_distances,
 )
@@ -89,14 +87,11 @@ def test_point_at_distance_deterministic():
 
 
 def test_uniform_spacing_is_linspace():
-    spec = TrajectorySpec(LatentPoint(np.zeros(2)), n_points=5, d_min=0.0, d_max=10.0, spacing="uniform")
-    assert np.allclose(trajectory_distances(spec), [0.0, 2.5, 5.0, 7.5, 10.0])
+    assert np.allclose(trajectory_distances(5, 0.0, 10.0, "uniform"), [0.0, 2.5, 5.0, 7.5, 10.0])
 
 
 def test_log_spacing_pins_zero_and_uses_floor():
-    spec = TrajectorySpec(LatentPoint(np.zeros(2)), n_points=6, d_min=0.0,
-                          d_max=ACQUISITION_D_MAX, spacing="logarithmic")
-    d = trajectory_distances(spec)
+    d = trajectory_distances(6, 0.0, ACQUISITION_D_MAX, "logarithmic")
     assert d[0] == 0.0
     assert d[1] == pytest.approx(LOG_DISTANCE_FLOOR)
     assert d[-1] == pytest.approx(ACQUISITION_D_MAX)
@@ -107,9 +102,7 @@ def test_log_spacing_pins_zero_and_uses_floor():
 
 def test_log_spacing_ladder_shape():
     """Log ladders concentrate points near the target: gaps grow monotonically."""
-    spec = TrajectorySpec(LatentPoint(np.zeros(2)), n_points=8, d_min=0.0,
-                          d_max=ACQUISITION_D_MAX, spacing="logarithmic")
-    d = trajectory_distances(spec)
+    d = trajectory_distances(8, 0.0, ACQUISITION_D_MAX, "logarithmic")
     gaps = np.diff(d)
     assert np.all(gaps > 0)
     # gaps grow monotonically above the pinned zero
@@ -119,49 +112,24 @@ def test_log_spacing_ladder_shape():
 
 
 def test_log_spacing_positive_dmin_is_geomspace():
-    spec = TrajectorySpec(LatentPoint(np.zeros(2)), n_points=4, d_min=2.0, d_max=16.0,
-                          spacing="logarithmic")
-    assert np.allclose(trajectory_distances(spec), [2.0, 4.0, 8.0, 16.0])
+    assert np.allclose(trajectory_distances(4, 2.0, 16.0, "logarithmic"), [2.0, 4.0, 8.0, 16.0])
 
 
 def test_trajectory_distances_monotone_in_bounds():
     for spacing in ("uniform", "logarithmic"):
-        spec = TrajectorySpec(LatentPoint(np.zeros(2)), n_points=11, d_min=0.0, d_max=30.0, spacing=spacing)
-        d = trajectory_distances(spec)
+        d = trajectory_distances(11, 0.0, 30.0, spacing)
         assert len(d) == 11
         assert np.all(np.diff(d) > 0)
         assert d.min() >= 0.0 and d.max() <= 30.0 + 1e-12
 
 
-def test_trajectory_spec_validation():
-    with pytest.raises(ValueError):
-        TrajectorySpec(LatentPoint(np.zeros(2)), n_points=3, d_min=-1.0, d_max=10.0)
-    with pytest.raises(ValueError):
-        TrajectorySpec(LatentPoint(np.zeros(2)), n_points=3, d_min=5.0, d_max=4.0)
-    with pytest.raises(ValueError):
-        TrajectorySpec(LatentPoint(np.zeros(2)), n_points=3, d_min=0.0, d_max=ACQUISITION_D_MAX + 1.0)
-    with pytest.raises(ValueError):
-        TrajectorySpec(LatentPoint(np.zeros(2)), n_points=3, spacing="quadratic")
-
-
-def test_sample_trajectory_distances_match_points():
-    target = LatentPoint(np.arange(4, dtype=float))
-    spec = TrajectorySpec(target, n_points=7, d_min=0.0, d_max=12.0,
-                          spacing="logarithmic", direction_seed=4)
-    pts = sample_trajectory(spec)
-    assert len(pts) == 7
-    last = -1.0
-    for point, d in pts:
-        assert similarity(target, point) == pytest.approx(d, abs=1e-9)
-        assert d > last or (d == 0.0 and last == -1.0)
-        last = d
-
-
-def test_sample_trajectory_shares_one_direction():
-    target = LatentPoint(np.zeros(3))
-    spec = TrajectorySpec(target, n_points=5, d_min=1.0, d_max=10.0,
-                          spacing="uniform", direction_seed=8)
-    pts = sample_trajectory(spec)
-    dirs = [p.coords / d for p, d in pts if d > 0]
-    for u in dirs[1:]:
-        assert np.allclose(u, dirs[0])
+def test_trajectory_distances_validation():
+    for args, match in [
+        ((0, 0.0, 10.0, "uniform"), "n_points must be >= 1"),
+        ((3, -1.0, 10.0, "logarithmic"), "need 0 <= d_min <= d_max"),
+        ((3, 5.0, 4.0, "logarithmic"), "need 0 <= d_min <= d_max"),
+        ((3, 0.0, ACQUISITION_D_MAX + 1.0, "logarithmic"), "exceeds"),
+        ((3, 0.0, 10.0, "quadratic"), "unknown spacing"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            trajectory_distances(*args)

@@ -45,7 +45,7 @@ def test_score_deterministic():
     b = score(ds, target, cfg)
     assert a.score == b.score
     assert a.per_fold_aligned == b.per_fold_aligned
-    assert a.splits_digest_aligned == b.splits_digest_aligned
+    assert a.splits_digest == b.splits_digest
 
 
 @pytest.mark.parametrize("spec", [
@@ -74,7 +74,7 @@ def test_both_branches_use_identical_folds():
     cfg = fast_config(seed=4, n_shuffles=3, shuffle_aligned=True)
     rep = score(ds, target, cfg)
     expect = _splits_digest(cv_splits(cfg.cv, ds.n))
-    assert rep.splits_digest_aligned == rep.splits_digest_shuffled == expect
+    assert rep.splits_digest == expect
 
 
 def test_target_scores_above_far_hypothesis():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cursor.latent import LatentPoint, similarity
+from cursor._util import derive_seed
+from cursor.latent import LatentPoint, similarity, trajectory_distances, unit_direction
 from cursor.synth import Link, generate_dataset, make_response_model, simulate_response
 
 
@@ -134,3 +135,31 @@ def test_trajectories_differ_between_indices():
     second = ds.stimuli[4:]
     assert np.allclose(ds.truth.distances[:4], ds.truth.distances[4:])
     assert not np.allclose(first[1:], second[1:])
+
+
+def ladder_dataset():
+    m = make_response_model(12, seed=0)
+    target = LatentPoint(np.arange(4, dtype=float))
+    ds = generate_dataset([target], 3, 7, m, master_seed=4, d_max=12.0)
+    return ds, target, trajectory_distances(7, 0.0, 12.0, "logarithmic")
+
+
+def test_generate_dataset_stimuli_lie_on_the_ladder():
+    ds, target, ladder = ladder_dataset()
+    assert np.array_equal(ds.truth.distances, np.tile(ladder, 3))
+    for tj, block in enumerate(ds.stimuli.reshape(3, 7, 4)):
+        # each stimulus is exactly target + d * u along its trajectory's seeded direction
+        u = unit_direction(4, derive_seed(4, 0, tj, "trajectory"))
+        assert np.array_equal(block, target.coords + ladder[:, None] * u)
+
+
+def test_generate_dataset_trajectory_shares_one_direction():
+    ds, target, ladder = ladder_dataset()
+    directions = []
+    for block in ds.stimuli.reshape(3, 7, 4):
+        assert np.array_equal(block[0], target.coords)  # the pinned zero of the log ladder
+        dirs = (block[1:] - target.coords) / ladder[1:, None]
+        assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
+        assert np.allclose(dirs, dirs[0], atol=1e-12)
+        directions.append(dirs[0])
+    assert not np.allclose(directions[0], directions[1])
