@@ -6,8 +6,9 @@ parameters.  OLS takes the rank-tolerant minimum-norm solution, ridge shrinks
 each principal direction by s/(s^2 + lambda), and the dummy ignores inputs
 entirely.  OLS and ridge are one spectral filter, spectral_filter, on the
 singular values s of the centered design.  The scorer (scoring.HypothesisScorer)
-obtains those singular values once per fold, from an eigendecomposition of
-the fold's standardized Gram matrix or, when that is ill-conditioned, from an
+factorizes each fold once.  Where the fold's standardized Gram matrix C is
+well conditioned, the filter amounts to the inverse (C + lambda I)^-1, with
+lambda = 0 for OLS, and the scorer keeps that inverse.  Otherwise it keeps an
 SVD of the standardized rows, and solve_centered applies the filter per
 hypothesis.
 """
@@ -81,8 +82,8 @@ def solve_centered(kind: str, lam: float, u: np.ndarray, s: np.ndarray,
     u @ diag(s) @ vt of a centered design matrix and centered targets yc.
 
     The scorer calls this on folds it factorizes by SVD; on folds it
-    factorizes through the Gram matrix it applies the same spectral_filter to
-    the square roots of the Gram eigenvalues.
+    factorizes through the Gram matrix it applies the filter's equivalent
+    inverse (C + lambda I)^-1.
     """
     uy = u.T @ yc
     return vt.T @ (uy * spectral_filter(kind, lam, s, max(u.shape[0], vt.shape[1])))

@@ -11,12 +11,16 @@ responses (dummy) scores exactly 1.  A HypothesisScorer caches everything
 about (dataset, config) that does not depend on h: fold splits, permutations
 and one factorization per fold of the standardized training responses.  It
 centers the responses once and forms their Gram matrix; a fold's training
-Gram matrix is that minus its validation rows' share, so a fold costs an
-eigendecomposition of a De x De matrix rather than an SVD of its N_train x De
-rows, and a shuffled branch, which only reorders rows, copies none.  A fold
-whose Gram matrix would lose accuracy (no more training rows than columns, a
-constant column, or an ill-conditioned standardized Gram) takes the SVD of
-its standardized rows instead.
+Gram matrix is that minus its validation rows' share.  Per branch, the
+standardized Gram matrices C_std of all folds are formed in one stacked pass,
+and a fold keeps K = (C_std + lambda I)^-1 (lambda = 0 for OLS), one De x De
+inverse rather than an SVD of its N_train x De rows; a shuffled branch, which
+only reorders rows, copies none.  A fold whose Gram matrix would lose accuracy
+(no more training rows than columns, a constant column, or an ill-conditioned
+C_std) takes the SVD of its standardized rows instead.  Where C_std passes,
+the OLS filter drops no singular direction, so with Xs = U diag(s) V^T the
+standardized centered training rows and phi the estimator's spectral filter,
+the SVD solve V diag(phi(s)) U^T yc equals K Xs^T yc.
 
 HypothesisScorer.score_points scores B hypotheses in one call; score_point is
 its B = 1 case.  Each hypothesis's distances are centered once, dc = d -
@@ -28,12 +32,11 @@ GEMM per branch (dc taken in the branch's inverse row order), minus the
 validation rows' share.  The weights, predictions and RMSEs then come from
 products stacked over folds, so a generation of hypotheses costs a handful
 of numpy calls per branch rather than a Python loop over hypotheses and
-folds.  At N=3000, Dz=32, De=20 and 10 folds that is about 0.4 ms per
-hypothesis at B=10, against 3.2 ms for the former per-hypothesis loop (one
-OpenBLAS thread on a 2-core Xeon); the distances take 0.15-0.18 ms of it.  SVD
-folds, which appear only at small N or on degenerate responses, loop over
-folds and hypotheses in the SVD reference's own arithmetic, because an
-ill-conditioned fold amplifies any other rounding.
+folds.  At N=3000, Dz=32, De=20 and 10 folds that is about 0.45 ms per
+hypothesis at B=10 (one OpenBLAS thread on a 2-core Xeon), of which the
+distances take 0.23 ms.  SVD folds, which appear only at small N or on
+degenerate responses, loop over folds and hypotheses in the SVD reference's
+own arithmetic, because an ill-conditioned fold amplifies any other rounding.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from .dataset import (
     standardize_apply,
     standardize_fit,
 )
-from .estimators import CvConfig, EstimatorSpec, cv_splits, solve_centered, spectral_filter
+from .estimators import CvConfig, EstimatorSpec, cv_splits, solve_centered
 from .latent import LatentPoint, as_point
 
 __all__ = [
@@ -66,9 +69,11 @@ __all__ = [
 
 # A fold is solved from its Gram matrix only when the standardized Gram's
 # smallest eigenvalue exceeds this fraction of its largest.  Forming the Gram
-# squares the condition number of the rows, so its rounding grows like
-# (lambda_max / lambda_min) * eps, at most 1e3 * 2.2e-16 ~ 2e-13 here, which
-# keeps S(h) within 1e-12 of the SVD of the rows.
+# squares the condition number of the rows, and the rounding of its SPD
+# inverse grows like (lambda_max / lambda_min) * eps, at most 1e3 * 2.2e-16 ~
+# 2e-13 here, which keeps S(h) within 1e-12 of the SVD of the rows.  The
+# bound also puts s_min / s_max above 0.03, far above the OLS cutoff of
+# eps * max(N_train, De), so OLS inverts every direction on this path.
 GRAM_MIN_EIG_RATIO = 1e-3
 
 # Only an exact aligned fit (rmse_aligned ~ eps) reaches this floor; it keeps
@@ -146,61 +151,29 @@ class _SvdFold:
         self.x_val_c = standardize_apply(x_val, *scaler) - xm
 
 
-def _gram_factors(x_val, gram, colsum, n_train, spec):
-    """(mu, sigma, gain, v) of one fold from the Gram downdate, or None where
-    that would lose accuracy.
-
-    x_val holds the fold's validation rows of X0; mu and sigma standardize its
-    training rows X0[rows], and on success x_val is standardized in place.
-    With Xs = U diag(s) V^T the standardized centered training rows, Xs^T Xs =
-    V diag(s^2) V^T, so the SVD solve V diag(phi(s)) U^T yc equals
-    V diag(gain) V^T Xs^T yc with gain = phi(s) / s, and Xs^T yc =
-    X0[rows]^T yc / sigma.
-    """
-    de = gram.shape[0]
-    if n_train <= de:
-        return None
-    mu = (colsum - x_val.sum(axis=0)) / n_train
-    c = gram - x_val.T @ x_val - n_train * np.outer(mu, mu)
-    # A variance rounded below zero gives sigma 0, which fails the floor too.
-    sigma = np.sqrt(np.maximum(np.diag(c), 0.0) / (n_train - 1))
-    if not np.all(sigma >= STD_FLOOR):
-        return None
-    lam, v = np.linalg.eigh(c / np.outer(sigma, sigma))
-    if not lam[0] > GRAM_MIN_EIG_RATIO * lam[-1]:
-        return None
-    s = np.sqrt(lam[::-1])  # descending, as from an SVD
-    gain = spectral_filter(spec.kind, spec.ridge_lambda, s, max(n_train, de)) / s
-    x_val -= mu
-    x_val /= sigma
-    return mu, sigma, gain, v[:, ::-1]
-
-
 class _Branch:
     """The folds of one branch, which pairs target i with response row order[i].
 
     inv is the inverse of order (None when the branch keeps the rows in
     place).  The folds on the Gram path are stacked along a leading fold
-    axis: gram selects them (a slice when every fold is one), mu, sigma, gain
-    and v hold their factors and x_val_c their standardized validation rows.
-    svd maps each other fold to its _SvdFold.  paths[f] records how fold f is
-    solved: "gram", "svd", or "mean" under the dummy estimator, which solves
-    nothing.
+    axis: gram selects them (a slice when every fold is one), mu and sigma
+    standardize their training rows, k holds (C_std + lambda I)^-1 of their
+    standardized Gram matrices C_std and x_val_c their standardized validation
+    rows.  svd maps each other fold to its _SvdFold.  paths[f] records how
+    fold f is solved: "gram", "svd", or "mean" under the dummy estimator,
+    which solves nothing.
     """
 
-    __slots__ = ("inv", "paths", "gram", "mu", "sigma", "gain", "v", "x_val_c", "svd")
+    __slots__ = ("inv", "paths", "gram", "mu", "sigma", "k", "x_val_c", "svd")
 
-    def __init__(self, inv, paths, factors=(), x_val_c=None, svd=None):
+    def __init__(self, inv, paths, factors=(None,) * 4, svd=None):
         self.inv = inv
         self.paths = paths
         self.svd = svd or {}
         self.gram = [f for f, path in enumerate(paths) if path == "gram"]
         if len(self.gram) == len(paths):
             self.gram = slice(None)
-        self.mu = self.sigma = self.gain = self.v = self.x_val_c = None
-        if factors:
-            self.mu, self.sigma, self.gain, self.v = (np.stack(a) for a in zip(*factors))
-            self.x_val_c = x_val_c[self.gram]
+        self.mu, self.sigma, self.k, self.x_val_c = factors
 
 
 def _rms(resid: np.ndarray) -> np.ndarray:
@@ -250,26 +223,54 @@ class HypothesisScorer:
 
     def _branch(self, order) -> _Branch:
         spec = self.cfg.estimator
+        n_folds = len(self.splits)
         if spec.kind == "dummy_mean":
-            return _Branch(None, ("mean",) * len(self.splits))
-        # Filled in place, so a build allocates each branch's validation rows once.
-        x_val_c = np.empty((len(self.splits), self._val.shape[1], self._x0.shape[1]))
-        factors, svd = [], {}
-        for f, (train, val) in enumerate(self.splits):
-            rows_val = val if order is None else order[val]
-            x_val_c[f] = self._x0[rows_val]
-            fold = _gram_factors(x_val_c[f], self._gram, self._colsum, train.shape[0], spec)
-            if fold is None:
+            return _Branch(None, ("mean",) * n_folds)
+        rows_val = self._val if order is None else order[self._val]
+        n_train, de = self._n_train, self._x0.shape[1]
+        gram = np.arange(n_folds if n_train > de else 0)
+        factors = (None,) * 4
+        if gram.size:
+            # Every fold's validation rows of X0 (folds x n_val x De).  A fold's
+            # training Gram matrix is the full one minus their share, centered
+            # on the training mean mu.
+            x_val = self._x0[rows_val]
+            mu = self._colsum - x_val.sum(axis=1)
+            mu /= n_train
+            c = x_val.transpose(0, 2, 1) @ x_val
+            np.subtract(self._gram, c, out=c)
+            c -= n_train * (mu[:, :, None] * mu[:, None, :])
+            # A variance rounded below zero gives sigma 0, which fails the floor too.
+            sigma = np.sqrt(np.maximum(np.diagonal(c, axis1=1, axis2=2), 0.0) / (n_train - 1))
+            # A failing fold is dropped by taking copies of the rest; while
+            # every fold passes, each step below writes in place.
+            ok = np.all(sigma >= STD_FLOOR, axis=1)
+            if not ok.all():
+                gram, c, sigma = gram[ok], c[ok], sigma[ok]
+            c /= sigma[:, :, None] * sigma[:, None, :]
+            lam = np.linalg.eigvalsh(c)
+            ok = lam[:, 0] > GRAM_MIN_EIG_RATIO * lam[:, -1]
+            if not ok.all():
+                gram, c, sigma = gram[ok], c[ok], sigma[ok]
+            if gram.size < n_folds:
+                mu, x_val = mu[gram], x_val[gram]
+            if spec.kind == "ridge":
+                c += spec.ridge_lambda * np.eye(de)
+            x_val -= mu[:, None, :]
+            x_val /= sigma[:, None, :]
+            if gram.size:
+                factors = (mu, sigma, np.linalg.inv(c), x_val)
+        paths = tuple("gram" if f in gram else "svd" for f in range(n_folds))
+        svd = {}
+        for f, (train, _) in enumerate(self.splits):
+            if paths[f] == "svd":
                 rows = train if order is None else order[train]
-                svd[f] = _SvdFold(self.ds.responses[rows], self.ds.responses[rows_val])
-            else:
-                factors.append(fold)
-        paths = tuple("svd" if f in svd else "gram" for f in range(len(self.splits)))
+                svd[f] = _SvdFold(self.ds.responses[rows], self.ds.responses[rows_val[f]])
         inv = None
         if order is not None:
             inv = np.empty_like(order)
             inv[order] = np.arange(order.shape[0])
-        return _Branch(inv, paths, factors, x_val_c, svd)
+        return _Branch(inv, paths, factors, svd)
 
     def _branch_rmses(self, branch, d, dc, total, train_mean, d_val, base) -> np.ndarray:
         """Per-fold validation RMSEs (folds x hypotheses) of one branch.
@@ -286,7 +287,7 @@ class HypothesisScorer:
         if spec.kind == "dummy_mean":
             return _rms(base.copy())
         rms = np.empty(base.shape[:2])
-        if branch.v is not None:
+        if branch.k is not None:
             # X0[rows]^T (dc[train] - train_mean) per fold: the product over
             # all rows, minus the validation rows' share; the train_mean
             # terms sum to total * mu.  Divided by sigma, in standardized units.
@@ -294,9 +295,7 @@ class HypothesisScorer:
             g = rows @ self._x0 - total[:, None] * branch.mu[:, None, :]
             g /= branch.sigma[:, None, :]
             g -= d_val[branch.gram] @ branch.x_val_c
-            g = g @ branch.v
-            g *= branch.gain[:, None, :]
-            w = g @ branch.v.transpose(0, 2, 1)
+            w = g @ branch.k
             resid = w @ branch.x_val_c.transpose(0, 2, 1)
             resid += base[branch.gram]
             rms[branch.gram] = _rms(resid)

@@ -1,12 +1,16 @@
 """End-to-end tests of the command line interface.
 
 Commands run in-process through main(argv) so exit codes and outputs are
-checked without subprocess overhead.
+checked without subprocess overhead.  The thread-count test starts a fresh
+interpreter per setting, because OpenBLAS reads its thread count at load.
 """
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -575,3 +579,26 @@ def test_readme_flags_exist():
     named = {flag for line in readme.splitlines() if "pytest" not in line
              for flag in re.findall(r"--[a-z][a-z0-9-]*", line)}
     assert named and named <= known, sorted(named - known)
+
+
+def test_score_is_bitwise_independent_of_blas_threads(tmp_path):
+    # The reference size: N = 3000, De = 64, every fold on the Gram path.
+    assert main(["generate", "--trajectories", "1000", "--points", "3", "--latent-dim", "32",
+                 "--response-dim", "64", "--d-max", "15", "--noise-sigma", "2", "--seed", "41",
+                 "-o", str(tmp_path / "gen")]) == 0
+    data = tmp_path / "gen" / "dataset.csv"
+    hyp = tmp_path / "h.json"
+    hyp.write_text(json.dumps(load_dataset(data).truth.target.coords.tolist()))
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "cursor.cli", "score", "--data", str(data),
+             "--hypothesis-file", str(hyp), "--seed", "41", "-o", str(out)],
+            env={**env, "OPENBLAS_NUM_THREADS": threads}, capture_output=True, text=True,
+            timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((out / "score.json").read_bytes())
+    assert outputs[0] == outputs[1]

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cursor._util import derive_seed
-from cursor.dataset import StimulusResponseDataset, draw_permutation
+from cursor.dataset import StimulusResponseDataset, draw_permutation, subsample
 from cursor.estimators import CvConfig, EstimatorSpec, cv_splits
 from cursor.reference import reference_dataset, reference_score_config
 from cursor.scoring import (
@@ -256,6 +256,10 @@ def _assert_reports_match(got, want, rel):
     assert got.per_fold_shuffled == pytest.approx(want.per_fold_shuffled, rel=rel)
 
 
+def _paths(scorer):
+    return {path for branch in [scorer._aligned, *scorer._shuffled] for path in branch.paths}
+
+
 @given(case=st.sampled_from(FOLD_CASES), kind=st.sampled_from(["ols", "ridge", "dummy_mean"]),
        n_shuffles=st.sampled_from([1, 2]), shuffle_aligned=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
@@ -279,7 +283,7 @@ def test_scorer_matches_svd_reference_on_every_fold(case, kind, n_shuffles,
     scorer = HypothesisScorer(ds, cfg)
     reps = scorer.score_points(H)
 
-    paths = {path for branch in [scorer._aligned, *scorer._shuffled] for path in branch.paths}
+    paths = _paths(scorer)
     if kind == "dummy_mean":
         assert paths == {"mean"}
     elif case in SVD_CASES:
@@ -306,6 +310,53 @@ def test_scorer_matches_svd_reference_on_every_fold(case, kind, n_shuffles,
 
 def test_reference_config_folds_take_the_gram_path():
     ds, _ = reference_dataset(0)
-    scorer = HypothesisScorer(ds, reference_score_config(0))
-    assert {path for branch in [scorer._aligned, *scorer._shuffled]
-            for path in branch.paths} == {"gram"}
+    assert _paths(HypothesisScorer(ds, reference_score_config(0))) == {"gram"}
+
+
+def _two_column_dataset(ratio, n=400):
+    """Two columns whose standardized Gram has eigenvalue ratio `ratio` over
+    all rows; a fold's training rows land within 10% of it."""
+    rng = np.random.default_rng(0)
+    r = (1 - ratio) / (1 + ratio)  # eigenvalues of [[1, r], [r, 1]] are 1 -+ r
+    z = rng.standard_normal((n, 2))
+    z -= z.mean(axis=0)
+    z[:, 1] -= z[:, 0] * (z[:, 0] @ z[:, 1]) / (z[:, 0] @ z[:, 0])
+    z /= np.linalg.norm(z, axis=0)
+    responses = np.column_stack([z[:, 0], r * z[:, 0] + np.sqrt(1 - r * r) * z[:, 1]])
+    return StimulusResponseDataset(rng.standard_normal((n, 3)), responses)
+
+
+@pytest.mark.parametrize("kind", ["ols", "ridge"])
+@pytest.mark.parametrize("ratio, path", [(3e-4, "svd"), (3e-3, "gram")])
+def test_gram_guard_threshold(kind, ratio, path):
+    # A fold takes the Gram path only above an eigenvalue ratio of 1e-3.
+    ds = _two_column_dataset(ratio)
+    cfg = ScoreConfig(
+        estimator=EstimatorSpec(kind=kind, ridge_lambda=4.0 if kind == "ridge" else 0.0),
+        cv=CvConfig(n_folds=5, seed=1), perm_seed=2)
+    scorer = HypothesisScorer(ds, cfg)
+    assert _paths(scorer) == {path}
+    rep = scorer.score_point(ds.stimuli[0])
+    aligned, shuffled = _reference_per_fold(ds, np.linalg.norm(ds.stimuli - ds.stimuli[0], axis=1),
+                                            cfg)
+    assert rep.per_fold_aligned == pytest.approx(aligned, rel=1e-12)
+    assert rep.per_fold_shuffled == pytest.approx(shuffled, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["ols", "ridge"])
+@pytest.mark.parametrize("n", [160, 3000])
+def test_reference_dimension_folds_match_svd_reference(kind, n):
+    # De = 64: at N = 160 a fold trains on 144 rows, the sweep's middle size.
+    full, target = reference_dataset(0)
+    ds = full if n == full.n else subsample(full, n, seed=0)
+    cfg = replace(reference_score_config(0),
+                  estimator=EstimatorSpec(kind=kind, ridge_lambda=4.0 if kind == "ridge" else 0.0))
+    scorer = HypothesisScorer(ds, cfg)
+    assert _paths(scorer) == {"gram"}
+    H = np.stack([target.coords, ds.stimuli[n // 2],
+                  np.random.default_rng(n).standard_normal(target.dim)])
+    for row, rep in zip(H, scorer.score_points(H)):
+        aligned, shuffled = _reference_per_fold(ds, np.linalg.norm(ds.stimuli - row, axis=1), cfg)
+        assert rep.per_fold_aligned == pytest.approx(aligned, rel=1e-12)
+        assert rep.per_fold_shuffled == pytest.approx(shuffled, rel=1e-12)
+        assert rep.score == pytest.approx(np.mean(shuffled) / np.mean(aligned), rel=1e-12)
