@@ -16,7 +16,6 @@ import json
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .dataset import StimulusResponseDataset, load_dataset, save_dataset
@@ -579,7 +578,6 @@ VALIDATION_ERRORS = (
     IsADirectoryError,
     NotADirectoryError,
     json.JSONDecodeError,
-    jsonschema.ValidationError,
 )
 
 
@@ -592,10 +590,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse usage errors already printed
         code = exc.code
         return code if isinstance(code, int) else 2
-    except VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
+        # jsonschema is loaded only when a plan is validated, so a plan's
+        # ValidationError is looked up only once the module is there.
+        schema = sys.modules.get("jsonschema")
+        if isinstance(exc, VALIDATION_ERRORS) or (
+                schema is not None and isinstance(exc, schema.ValidationError)):
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

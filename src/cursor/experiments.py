@@ -18,7 +18,6 @@ import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .dataset import StimulusResponseDataset, ablate_near_target, load_dataset, subsample
@@ -232,6 +231,10 @@ class ExperimentPlan:
     raw: dict
 
     def __post_init__(self):
+        # Imported here, not at the top: it adds about 0.1 s to every process
+        # start, and only plans need it.
+        import jsonschema
+
         jsonschema.validate(self.raw, PLAN_SCHEMA)
         resolved = _merge_defaults(self.raw, DEFAULT_PLAN)
         if "file" in resolved["dataset"] and "generator" in resolved["dataset"]:

@@ -8,13 +8,17 @@ bounds before evaluation; the clamped points also drive the distribution
 update, so the search mass stays inside the box.
 
 The search itself, _maximize, scores one generation per objective call: the
-objective maps the generation's candidates, one per row, to their scores.
-cmaes_maximize is the scalar-objective wrapper over it.
+objective maps the generation's candidates, one per row, to their scores,
+and the optional trace distance_fn maps them to their distances from a known
+target.  cmaes_maximize is the scalar wrapper over it for both.
 
-recover_target wires the optimizer to the scoring machinery: the search runs
-in PCA-reduced latent coordinates, each generation's candidates are lifted
-back to full latent points, and HypothesisScorer.score_points scores them in
-one call against PCA-reduced responses.
+recover_target wires the optimizer to the scoring machinery.  The search runs
+in the k PCA coordinates of the latent space, where a candidate a stands for
+the full latent point h = mu + W^T a.  Its distances to the stimuli are
+computed in those k coordinates, plus each stimulus's fixed squared distance
+from the PCA subspace, and HypothesisScorer.score_distances scores a whole
+generation in one call against PCA-reduced responses.  The distances equal
+the full Dz-coordinate ones within rounding.
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import StimulusResponseDataset
-from .latent import LatentPoint, similarity
+from .latent import LatentPoint
 from .pca import PcaModel, pca_inverse, pca_transform
-from .scoring import HypothesisScorer, ScoreConfig
+from .scoring import HypothesisScorer, ScoreConfig, pairwise_distances
 from ._util import derive_rng
 
 __all__ = [
@@ -177,13 +181,16 @@ def cmaes_maximize(objective, cfg: CmaConfig, distance_fn=None) -> OptimizationT
     scalar wrapper over the generation-batched _maximize: it scores each
     generation's candidates one objective call at a time.
     """
-    return _maximize(lambda ys: [objective(y) for y in ys], cfg, distance_fn)
+    batch_distance = None if distance_fn is None else (lambda ys: [distance_fn(y) for y in ys])
+    return _maximize(lambda ys: [objective(y) for y in ys], cfg, batch_distance)
 
 
 def _maximize(objective, cfg: CmaConfig, distance_fn=None) -> OptimizationTrace:
     """cmaes_maximize with an objective that scores a whole generation.
 
-    objective maps a (k, dim) array of candidates, one per row, to k scores.
+    objective maps a (k, dim) array of candidates, one per row, to k scores,
+    and distance_fn, when given, maps the same array to the k candidates'
+    distances for the trace.
     """
     n = cfg.dim
     lam = cfg.effective_population_size
@@ -236,10 +243,12 @@ def _maximize(objective, cfg: CmaConfig, distance_fn=None) -> OptimizationTrace:
 
         losses = np.full(lam, np.inf)
         scores = objective(cands[:room])
+        dists = [None] * room
+        if distance_fn is not None:
+            dists = [float(v) for v in distance_fn(cands[:room])]
         for i in range(room):
             score = float(scores[i])
-            dist = None if distance_fn is None else float(distance_fn(cands[i]))
-            trace.record(cands[i], score, dist)
+            trace.record(cands[i], score, dists[i])
             if math.isfinite(score):
                 losses[i] = -score
 
@@ -271,6 +280,22 @@ def _maximize(objective, cfg: CmaConfig, distance_fn=None) -> OptimizationTrace:
     return trace
 
 
+def _lifted_distances(pca_z: PcaModel, stimuli: np.ndarray):
+    """A function from B x k candidates a to their B x N distances to stimuli.
+
+    A candidate stands for its lift h = mu + W^T a.  Each stimulus z_i splits
+    into its PCA coordinates p_i and a residual r_i orthogonal to the rows of
+    W, so ||z_i - h||^2 = ||r_i||^2 + ||p_i - a||^2: a sum over k coordinates
+    rather than Dz.  ||r_i||^2 comes from r_i itself, which does not cancel
+    near a stimulus as a difference of squared norms would.
+    """
+    proj = pca_transform(pca_z, stimuli)
+    resid = stimuli - pca_inverse(pca_z, proj)
+    resid_sq = np.einsum("ij,ij->i", resid, resid)
+    proj = np.asfortranarray(proj)  # pairwise_distances reads it a column at a time
+    return lambda ys: pairwise_distances(proj, ys, base=resid_sq)
+
+
 def recover_target(
     ds: StimulusResponseDataset,
     cfg: ScoreConfig,
@@ -280,9 +305,10 @@ def recover_target(
 ) -> tuple[LatentPoint, OptimizationTrace]:
     """Search the reduced latent space for the point that scores highest.
 
-    Responses are reduced through pca_e once up front; every candidate is
-    lifted through pca_z back to full latent coordinates before scoring.
-    Returns the recovered point (full coordinates) and the optimizer trace;
+    Responses are reduced through pca_e once up front.  A candidate's
+    distances to the stimuli, those of its lift through pca_z, are summed
+    over pca_z's k coordinates (see _lifted_distances).  Returns the
+    recovered point (full coordinates) and the optimizer trace;
     when the dataset carries ground truth, each trace entry also logs the
     candidate's true distance to the hidden target.
     """
@@ -301,15 +327,17 @@ def recover_target(
     )
     scorer = HypothesisScorer(reduced, cfg)
 
+    distances = _lifted_distances(pca_z, ds.stimuli)
+
     def objective(ys: np.ndarray) -> list[float]:
-        return [rep.score for rep in scorer.score_points(pca_inverse(pca_z, ys))]
+        return [rep.score for rep in scorer.score_distances(distances(ys))]
 
     distance_fn = None
     if ds.truth is not None:
-        target = ds.truth.target
+        target = ds.truth.target.coords
 
-        def distance_fn(y: np.ndarray) -> float:
-            return similarity(target, LatentPoint(pca_inverse(pca_z, y)))
+        def distance_fn(ys: np.ndarray) -> np.ndarray:
+            return np.linalg.norm(pca_inverse(pca_z, ys) - target, axis=1)
 
     trace = _maximize(objective, cma, distance_fn)
     if trace.best_point is None:

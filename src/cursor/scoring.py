@@ -23,8 +23,11 @@ standardized centered training rows and phi the estimator's spectral filter,
 the SVD solve V diag(phi(s)) U^T yc equals K Xs^T yc.
 
 HypothesisScorer.score_points scores B hypotheses in one call; score_point is
-its B = 1 case.  Each hypothesis's distances are centered once, dc = d -
-mean(d), and a fold's training mean of dc is the full sum minus its
+its B = 1 case.  It computes the B x N distances d with pairwise_distances
+and hands them to score_distances, which does the rest; a caller that has
+the distances by a cheaper route (recover_target, in PCA coordinates) calls
+score_distances directly.  Each hypothesis's distances are centered once,
+dc = d - mean(d), and a fold's training mean of dc is the full sum minus its
 validation rows' share.  The target std needs no computing: OLS and ridge
 predictions are linear in the targets, so it cancels out of every residual.
 On the Gram path, X0[rows]^T yc for every fold and hypothesis is one dc @ X0
@@ -32,9 +35,10 @@ GEMM per branch (dc taken in the branch's inverse row order), minus the
 validation rows' share.  The weights, predictions and RMSEs then come from
 products stacked over folds, so a generation of hypotheses costs a handful
 of numpy calls per branch rather than a Python loop over hypotheses and
-folds.  At N=3000, Dz=32, De=20 and 10 folds that is about 0.45 ms per
-hypothesis at B=10 (one OpenBLAS thread on a 2-core Xeon), of which the
-distances take 0.23 ms.  SVD folds, which appear only at small N or on
+folds.  At N=3000, De=20, 10 folds and B=10 (one OpenBLAS thread on a 2-core
+Xeon), score_distances takes about 0.12 ms per hypothesis.  The distances in
+Dz=32 coordinates take another 0.22 ms, and recover_target's, in k=10 PCA
+coordinates, 0.04 ms.  SVD folds, which appear only at small N or on
 degenerate responses, loop over folds and hypotheses in the SVD reference's
 own arithmetic, because an ill-conditioned fold amplifies any other rounding.
 """
@@ -98,7 +102,7 @@ class ScoreConfig:
 
 @dataclass(frozen=True, eq=False)
 class ScoreReport:
-    hypothesis: LatentPoint
+    hypothesis: LatentPoint | None  # None when scored from distances alone
     score: float
     rmse_aligned: float
     rmse_shuffled: float
@@ -180,6 +184,27 @@ def _rms(resid: np.ndarray) -> np.ndarray:
     """Root mean square over the last axis; squares resid in place."""
     np.square(resid, out=resid)
     return np.sqrt(resid.mean(axis=-1))
+
+
+def pairwise_distances(x: np.ndarray, h: np.ndarray, base=None) -> np.ndarray:
+    """d[b, i] = sqrt(base[i] + ||x[i] - h[b]||^2) for N points x and B points h.
+
+    The squares are summed one coordinate at a time.  Without base the sum
+    starts from the first coordinate's term, which makes d the Euclidean
+    distances; recover_target passes x and h in PCA coordinates and, as base,
+    each x's squared distance from the PCA subspace.
+    """
+    d = np.empty((h.shape[0], x.shape[0]))
+    buf = np.empty_like(d)
+    if base is None:
+        np.square(np.subtract(x[:, 0], h[:, :1], out=d), out=d)
+        first = 1
+    else:
+        d[...] = base
+        first = 0
+    for k in range(first, h.shape[1]):
+        d += np.square(np.subtract(x[:, k], h[:, k:k + 1], out=buf), out=buf)
+    return np.sqrt(d, out=d)
 
 
 class HypothesisScorer:
@@ -333,19 +358,24 @@ class HypothesisScorer:
         for h in points:
             if h.dim != self.ds.stimulus_dim:
                 raise ValueError(f"dimension mismatch: {h.dim} vs {self.ds.stimulus_dim}")
-        H = np.stack([h.coords for h in points])
+        d = pairwise_distances(self.ds.stimuli, np.stack([h.coords for h in points]))
+        return self.score_distances(d, points)
 
-        # d[b, i] = ||stimuli[i] - H[b]||, one coordinate at a time.
-        stimuli = self.ds.stimuli
-        d = np.empty((H.shape[0], self.ds.n))
-        buf = np.empty_like(d)
-        np.square(np.subtract(stimuli[:, 0], H[:, :1], out=d), out=d)
-        for k in range(1, H.shape[1]):
-            d += np.square(np.subtract(stimuli[:, k], H[:, k:k + 1], out=buf), out=buf)
-        np.sqrt(d, out=d)
+    def score_distances(self, d, hypotheses=None) -> list[ScoreReport]:
+        """Score B hypotheses from their distances d (B x N) to every stimulus.
+
+        Row b of d is ||stimuli[i] - h_b|| over i.  hypotheses, when given,
+        are the B points the rows belong to and fill each report's
+        hypothesis field; without them that field is None.
+        """
+        d = np.asarray(d, dtype=np.float64)
+        if d.ndim != 2 or d.shape[0] == 0 or d.shape[1] != self.ds.n:
+            raise ValueError(f"distances must be B x {self.ds.n} with B >= 1, got {d.shape}")
+        if hypotheses is None:
+            hypotheses = [None] * d.shape[0]
         degenerate = d.min(axis=1) == d.max(axis=1)
 
-        dc = np.subtract(d, d.mean(axis=1, keepdims=True), out=buf)
+        dc = d - d.mean(axis=1, keepdims=True)
         total = dc.sum(axis=1)  # 0 up to rounding
         d_val = dc.take(self._val, axis=1).transpose(1, 0, 2)  # folds x B x n_val
         train_mean = (total - d_val.sum(axis=2)) / self._n_train  # full sum minus validation
@@ -370,7 +400,7 @@ class HypothesisScorer:
                 denominator_floored=bool(rmse_aligned[b] < DENOM_FLOOR),
                 degenerate_distances=bool(degenerate[b]),
             )
-            for b, h in enumerate(points)
+            for b, h in enumerate(hypotheses)
         ]
 
     def score_point(self, h) -> ScoreReport:

@@ -581,6 +581,31 @@ def test_readme_flags_exist():
     assert named and named <= known, sorted(named - known)
 
 
+def test_only_plans_load_jsonschema(tmp_path):
+    # jsonschema takes about 0.1 s to import, and only plan validation uses it.
+    data = str(tmp_path / "gen" / "dataset.csv")
+    opt = tmp_path / "opt"
+    argvs = [
+        GEN_ARGS + ["-o", str(tmp_path / "gen")],
+        ["score", "--data", data, "--hypothesis", "0,0,0,0", "--folds", "3",
+         "-o", str(tmp_path / "score")],
+        ["rank", "--data", data, *RANK_ARGS, "-o", str(tmp_path / "rank")],
+        ["optimize", "--data", data, *OPT_ARGS, "-o", str(opt)],
+        ["recover", "--data", data, "--zhat", str(opt / "zhat.json"),
+         "-o", str(tmp_path / "rec")],
+    ]
+    script = ("import json, sys\n"
+              "import cursor, cursor.cli\n"
+              "assert 'jsonschema' not in sys.modules, 'import cursor'\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    assert cursor.cli.main(argv) == 0, argv[0]\n"
+              "    assert 'jsonschema' not in sys.modules, argv[0]\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_score_is_bitwise_independent_of_blas_threads(tmp_path):
     # The reference size: N = 3000, De = 64, every fold on the Gram path.
     assert main(["generate", "--trajectories", "1000", "--points", "3", "--latent-dim", "32",

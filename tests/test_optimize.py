@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from cursor.latent import similarity
 from cursor.optimize import (
     CmaConfig,
     OptimizationTrace,
+    _lifted_distances,
     cmaes_maximize,
     recover_target,
     trace_summary,
@@ -220,7 +222,7 @@ def test_recover_target_tracks_distance_and_improves():
 def test_recovery_matches_the_scalar_search():
     # recover_target scores a generation per call; cmaes_maximize over
     # score_point scores one candidate per call.  Same search, same points.
-    ds, _ = reference_dataset(0)
+    ds, target = reference_dataset(0)
     cfg = reference_score_config(0)
     opt = {**DEFAULT_PLAN["optimization"], "budget": 200}
     _, trace, pca_e, pca_z = recover(opt, ds, cfg, trial_seeds(0)["cma"])
@@ -236,7 +238,33 @@ def test_recovery_matches_the_scalar_search():
     for got, want in zip(trace.evaluations, scalar.evaluations):
         assert np.array_equal(got.point, want.point)
         assert got.score == pytest.approx(want.score, rel=1e-12)
+        assert got.distance == pytest.approx(
+            similarity(target, pca_inverse(pca_z, got.point)), rel=1e-12)
     assert np.array_equal(trace.best_point, scalar.best_point)
+
+
+def test_lifted_distances_match_the_full_ones():
+    # recover_target sums a candidate's distances over the k PCA coordinates
+    # plus each stimulus's squared distance from the PCA subspace.
+    ds, _ = reference_dataset(0)
+    pca_z = pca_fit(ds.stimuli, 10)
+    assert ds.stimulus_dim == 32
+    rng = np.random.default_rng(0)
+    # Random candidates in the default search box, then stimuli's own
+    # projections, whose distance to that stimulus is its distance from the
+    # subspace alone: where a difference of squares would cancel.
+    ys = np.vstack([rng.uniform(-15.0, 15.0, (10, pca_z.k)),
+                    pca_transform(pca_z, ds.stimuli[rng.choice(ds.n, 10, replace=False)])])
+    lifted = pca_inverse(pca_z, ys)
+    got = _lifted_distances(pca_z, ds.stimuli)(ys)
+    want = np.linalg.norm(ds.stimuli[None, :, :] - lifted[:, None, :], axis=2)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
+
+    pca_e = pca_fit(ds.responses, 20)
+    reduced = StimulusResponseDataset(ds.stimuli, pca_transform(pca_e, ds.responses))
+    scorer = HypothesisScorer(reduced, reference_score_config(0))
+    for rep, direct in zip(scorer.score_distances(got), scorer.score_points(lifted)):
+        assert rep.score == pytest.approx(direct.score, rel=1e-12)
 
 
 def test_recover_target_deterministic():
