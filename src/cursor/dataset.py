@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -100,6 +101,19 @@ class StimulusResponseDataset:
     @property
     def response_dim(self) -> int:
         return self.responses.shape[1]
+
+    @cached_property
+    def centered_gram(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(X0, X0^T X0, X0's column sums), X0 the responses centered per column.
+
+        Formed on first use and shared, read-only, by every scorer built on
+        this object.
+        """
+        x0 = self.responses - self.responses.mean(axis=0)
+        out = (x0, x0.T @ x0, x0.sum(axis=0))
+        for arr in out:
+            arr.setflags(write=False)
+        return out
 
 
 def dataset_from_arrays(stimuli, responses, target=None,

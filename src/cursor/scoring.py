@@ -9,15 +9,20 @@ responses were shuffled by a seeded permutation, and return
 Both branches consume identical fold splits, so an estimator that ignores
 responses (dummy) scores exactly 1.  A HypothesisScorer caches everything
 about (dataset, config) that does not depend on h: fold splits, permutations
-and one factorization per fold of the standardized training responses.  It
-centers the responses once and forms their Gram matrix; a fold's training
-Gram matrix is that minus its validation rows' share.  Per branch, the
-standardized Gram matrices C_std of all folds are formed in one stacked pass,
-and a fold keeps K = (C_std + lambda I)^-1 (lambda = 0 for OLS), one De x De
-inverse rather than an SVD of its N_train x De rows; a shuffled branch, which
-only reorders rows, copies none.  A fold whose Gram matrix would lose accuracy
-(no more training rows than columns, a constant column, or an ill-conditioned
-C_std) takes the SVD of its standardized rows instead.  Where C_std passes,
+and one factorization per fold of the standardized training responses.  The
+centered responses, their Gram matrix and column sums belong to the dataset
+(StimulusResponseDataset.centered_gram), formed once and shared by every
+scorer built on that object; a fold's training Gram matrix is the full one
+minus its validation rows' share.  Per branch, the standardized Gram matrices
+C_std of all folds are formed in one stacked pass, and a fold keeps
+K = (C_std + lambda I)^-1 (lambda = 0 for OLS), one De x De inverse rather
+than an SVD of its N_train x De rows; a shuffled branch, which only reorders
+rows, copies none.  A fold whose Gram matrix would lose accuracy (no more
+training rows than columns, a constant column, or an ill-conditioned C_std)
+takes the SVD of its standardized rows instead.  The condition guard is one
+stacked Cholesky of C_std shifted down by GRAM_MIN_EIG_RATIO * ||C_std||_F,
+which every well-conditioned stack passes; only a stack that fails it pays
+for the eigenvalues, which then decide fold by fold.  Where C_std passes,
 the OLS filter drops no singular direction, so with Xs = U diag(s) V^T the
 standardized centered training rows and phi the estimator's spectral filter,
 the SVD solve V diag(phi(s)) U^T yc equals K Xs^T yc.
@@ -78,6 +83,15 @@ __all__ = [
 # 2e-13 here, which keeps S(h) within 1e-12 of the SVD of the rows.  The
 # bound also puts s_min / s_max above 0.03, far above the OLS cutoff of
 # eps * max(N_train, De), so OLS inverts every direction on this path.
+# _well_conditioned first tries a Cholesky of C - GRAM_MIN_EIG_RATIO *
+# ||C||_F * I.  lambda_max <= ||C||_F, so a matrix that factors passes the
+# rule.  At the bound the shift exceeds lambda_min by at least
+# GRAM_MIN_EIG_RATIO * lambda_min^2 / (2 ||C||_F), about 5e-10 lambda_max, far
+# above the Cholesky's O(De eps ||C||) backward error, so a failing matrix does
+# not factor.  A stack that does not factor falls back to eigvalsh and the rule
+# itself, fold by fold.  On the reference data folds sit at lambda_min /
+# lambda_max ~ 0.012 and lambda_max / ||C||_F ~ 0.93, so the fallback does not
+# run there.
 GRAM_MIN_EIG_RATIO = 1e-3
 
 # Only an exact aligned fit (rmse_aligned ~ eps) reaches this floor; it keeps
@@ -207,6 +221,18 @@ def pairwise_distances(x: np.ndarray, h: np.ndarray, base=None) -> np.ndarray:
     return np.sqrt(d, out=d)
 
 
+def _well_conditioned(c: np.ndarray) -> np.ndarray:
+    """Per matrix of the symmetric stack c, whether its smallest eigenvalue
+    exceeds GRAM_MIN_EIG_RATIO times its largest (see that constant)."""
+    shift = GRAM_MIN_EIG_RATIO * np.linalg.norm(c, axis=(1, 2))
+    try:
+        np.linalg.cholesky(c - shift[:, None, None] * np.eye(c.shape[-1]))
+        return np.ones(c.shape[0], dtype=bool)
+    except np.linalg.LinAlgError:
+        lam = np.linalg.eigvalsh(c)
+        return lam[:, 0] > GRAM_MIN_EIG_RATIO * lam[:, -1]
+
+
 class HypothesisScorer:
     """Scores many hypotheses against one dataset under one config."""
 
@@ -238,9 +264,7 @@ class HypothesisScorer:
         if cfg.estimator.kind != "dummy_mean":
             # Centered globally first: a column's offset would otherwise cancel
             # its variance out of the Gram matrix.
-            self._x0 = ds.responses - ds.responses.mean(axis=0)
-            self._gram = self._x0.T @ self._x0
-            self._colsum = self._x0.sum(axis=0)
+            self._x0, self._gram, self._colsum = ds.centered_gram
         self._aligned = self._branch(aligned_order)
         self._shuffled = [self._branch(order) for order in shuffled_orders]
         # Every branch takes its folds from self.splits.
@@ -273,8 +297,7 @@ class HypothesisScorer:
             if not ok.all():
                 gram, c, sigma = gram[ok], c[ok], sigma[ok]
             c /= sigma[:, :, None] * sigma[:, None, :]
-            lam = np.linalg.eigvalsh(c)
-            ok = lam[:, 0] > GRAM_MIN_EIG_RATIO * lam[:, -1]
+            ok = _well_conditioned(c)
             if not ok.all():
                 gram, c, sigma = gram[ok], c[ok], sigma[ok]
             if gram.size < n_folds:

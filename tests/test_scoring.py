@@ -10,11 +10,15 @@ from cursor._util import derive_seed
 from cursor.dataset import StimulusResponseDataset, draw_permutation, subsample
 from cursor.estimators import CvConfig, EstimatorSpec, cv_splits
 from cursor.reference import reference_dataset, reference_score_config
+from cursor.dataset import standardize_apply, standardize_fit
 from cursor.scoring import (
     DENOM_FLOOR,
+    GRAM_MIN_EIG_RATIO,
     HypothesisScorer,
     ScoreConfig,
+    _batch_cfg,
     _splits_digest,
+    _well_conditioned,
     report_to_json,
     score,
     score_batch,
@@ -177,6 +181,26 @@ def test_batch_rejects_empty():
     ds, _ = tiny_dataset(seed=17)
     with pytest.raises(ValueError):
         score_batch(ds, [], fast_config())
+
+
+def test_scorers_on_one_dataset_share_its_centered_responses():
+    ds, _ = tiny_dataset(seed=19)
+    a, b = HypothesisScorer(ds, fast_config(seed=1)), HypothesisScorer(ds, fast_config(seed=2))
+    assert a._x0 is b._x0 and a._gram is b._gram and a._colsum is b._colsum
+    assert not any(arr.flags.writeable for arr in ds.centered_gram)
+
+
+def test_batch_matches_scorers_built_alone_on_fresh_copies():
+    # score_batch builds every scorer on one dataset object, which forms its
+    # centered responses once; a scorer on its own copy forms them afresh.
+    ds, target = reference_dataset(0)
+    cfg = reference_score_config(0)
+    H = [target.coords, ds.stimuli[7], np.random.default_rng(0).standard_normal(target.dim)]
+    for i, (h, rep) in enumerate(zip(H, score_batch(ds, H, cfg))):
+        fresh = StimulusResponseDataset(ds.stimuli, ds.responses, ds.truth)
+        assert fresh.responses is not ds.responses
+        alone = HypothesisScorer(fresh, _batch_cfg(cfg, i)).score_point(h)
+        assert report_to_json(alone) == report_to_json(rep)
 
 
 def _exact_fit_dataset():
@@ -360,3 +384,58 @@ def test_reference_dimension_folds_match_svd_reference(kind, n):
         assert rep.per_fold_aligned == pytest.approx(aligned, rel=1e-12)
         assert rep.per_fold_shuffled == pytest.approx(shuffled, rel=1e-12)
         assert rep.score == pytest.approx(np.mean(shuffled) / np.mean(aligned), rel=1e-12)
+
+
+def _spd(lam, rng):
+    q, _ = np.linalg.qr(rng.standard_normal((lam.size, lam.size)))
+    m = (q * lam) @ q.T
+    return (m + m.T) / 2
+
+
+GUARD_RATIOS = (0.5, 1.2e-2, 1.001e-3, 0.999e-3, 1e-5)
+
+
+@pytest.mark.parametrize("de", [2, 20, 64])
+def test_gram_guard_decides_each_fold_as_eigvalsh(de):
+    # Spectra from lambda_min / lambda_max = ratio up to 1, and one nearly
+    # rank-one spectrum; passing and failing matrices share one stack.
+    rng = np.random.default_rng(de)
+    spectra = [np.geomspace(ratio, 1.0, de) for ratio in GUARD_RATIOS]
+    spectra.append(np.r_[np.full(de - 1, 1e-9), 1.0])
+    stack = np.stack([_spd(lam, rng) for lam in spectra])
+    lam = np.linalg.eigvalsh(stack)
+    want = lam[:, 0] > GRAM_MIN_EIG_RATIO * lam[:, -1]
+    assert want.tolist() == [True, True, True, False, False, False]
+    for order in (slice(None), slice(None, None, -1)):
+        assert np.array_equal(_well_conditioned(stack[order]), want[order])
+    for f in range(len(stack)):  # alone, so that no other matrix forces the fallback
+        assert np.array_equal(_well_conditioned(stack[f:f + 1]), want[f:f + 1])
+
+
+@pytest.mark.parametrize("de", [2, 20, 64])
+def test_gram_guard_passes_a_well_conditioned_stack_without_eigenvalues(de, monkeypatch):
+    rng = np.random.default_rng(de)
+    stack = np.stack([_spd(np.geomspace(ratio, 1.0, de), rng) for ratio in (0.5, 1.2e-2)])
+
+    def refuse(_):
+        raise AssertionError("eigvalsh ran")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert _well_conditioned(stack).tolist() == [True, True]
+
+
+def test_scorer_fold_paths_follow_the_eigenvalue_rule():
+    # At a whole-dataset ratio of 1e-3 some folds' training rows fall on
+    # either side of the bound; each branch's paths must match the rule
+    # applied to the fold's own standardized training rows.
+    ds = _two_column_dataset(1e-3)
+    cfg = ScoreConfig(cv=CvConfig(n_folds=5, seed=1), perm_seed=2)
+    scorer = HypothesisScorer(ds, cfg)
+    assert _paths(scorer) == {"gram", "svd"}
+    orders = [None, draw_permutation(ds.n, cfg.perm_seed)]
+    for branch, order in zip([scorer._aligned, *scorer._shuffled], orders):
+        for (train, _), path in zip(scorer.splits, branch.paths):
+            x = ds.responses[train if order is None else order[train]]
+            xs = standardize_apply(x, *standardize_fit(x))
+            lam = np.linalg.eigvalsh(np.corrcoef(xs, rowvar=False))
+            assert path == ("gram" if lam[0] > GRAM_MIN_EIG_RATIO * lam[-1] else "svd")
