@@ -4,11 +4,18 @@ A StimulusResponseDataset holds the public (z_i, e_i) pairs plus optional
 hidden ground truth (the generating target and its distances) used only for
 evaluation.  Epoch windowing turns a channels x time tensor into the flat
 feature vector the estimators consume.
+
+A dataset is stored as CSV or as the CRSR binary format, each with a JSON
+sidecar.  Loading a CSV memoizes its parsed body in <name>.cache, keyed by
+the SHA-256 of the CSV, so each distinct file is parsed only once.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -35,6 +42,9 @@ __all__ = [
 
 BINARY_MAGIC = b"CRSR"
 BINARY_VERSION = 1
+# A CSV memo starts with the CSV's SHA-256 digest and the body's rows and
+# columns; rows x columns little-endian float64 values follow.
+_MEMO_HEAD = struct.Struct("<32sII")
 
 # Sample std below this is treated as zero; such features standardize to 0.
 STD_FLOOR = 1e-12
@@ -288,6 +298,13 @@ def save_dataset(ds: StimulusResponseDataset, path) -> None:
 
 
 def load_dataset(path) -> StimulusResponseDataset:
+    """Read a dataset written by save_dataset, binary or CSV by its first bytes.
+
+    A CSV's parsed values are kept in <name>.cache beside it, keyed by the
+    CSV's SHA-256, and read from there while the CSV is unchanged; the memo is
+    skipped where it cannot be written.  Every check runs on either path, so
+    the result does not depend on the memo.
+    """
     import pathlib
 
     path = pathlib.Path(path)
@@ -320,7 +337,7 @@ def _load_csv(path, sidecar):
         if not any(line.strip() for line in fh):
             raise ValueError(f"dataset {path} has a header but no rows")
         fh.seek(body_start)
-        body = np.loadtxt(fh, delimiter=",", ndmin=2)
+        body = _parsed_body(path, fh)
     dz = sum(1 for c in header if c.startswith("stim_"))
     de = sum(1 for c in header if c.startswith("resp_"))
     has_dist = header[-1] == "true_dist"
@@ -341,6 +358,41 @@ def _load_csv(path, sidecar):
             raise ValueError("true_dist column present but sidecar lacks hidden_target")
         truth = GroundTruth(as_point(target), body[:, dz + de])
     return StimulusResponseDataset(stimuli, responses, truth, sidecar.get("provenance", {}))
+
+
+def _parsed_body(path, fh) -> np.ndarray:
+    """np.loadtxt of the CSV body at fh, memoized in <name>.cache.
+
+    The memo is used only if it holds this file's digest and exactly the
+    values its header promises; otherwise the body is parsed and the memo
+    rewritten, or left alone if the directory refuses the write.
+    """
+    with open(path, "rb") as raw:
+        digest = hashlib.file_digest(raw, "sha256").digest()
+    memo = path.with_name(path.name + ".cache")
+    try:
+        with open(memo, "rb") as m:
+            head = m.read(_MEMO_HEAD.size)
+            if len(head) == _MEMO_HEAD.size:
+                key, rows, cols = _MEMO_HEAD.unpack(head)
+                count = rows * cols
+                if key == digest and os.fstat(m.fileno()).st_size == len(head) + 8 * count:
+                    body = np.fromfile(m, dtype="<f8", count=count)
+                    if body.size == count:
+                        return body.reshape(rows, cols)
+    except OSError:
+        pass
+    body = np.loadtxt(fh, delimiter=",", ndmin=2)
+    tmp = memo.with_name(f"{memo.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as m:
+            m.write(_MEMO_HEAD.pack(digest, *body.shape))
+            body.astype("<f8", copy=False).tofile(m)
+        os.replace(tmp, memo)
+    except OSError:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+    return body
 
 
 def _save_binary(ds, path):

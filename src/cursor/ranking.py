@@ -59,8 +59,8 @@ def build_hypothesis_set(target, L: int, d_max: float, seed: int,
     target = as_point(target)
     if L < 2:
         raise ValueError("L must be >= 2")
-    if d_max <= 0:
-        raise ValueError("d_max must be positive")
+    if not 0 < d_max < np.inf:
+        raise ValueError(f"d_max must be positive and finite, got {d_max}")
     rng = derive_rng(seed, "hypothesis-set")
     n_random = L - 1 if include_target else L
     distances = rng.uniform(0.0, d_max, size=n_random)

@@ -445,11 +445,16 @@ def test_ablate_duplicate_labels_fail_before_plan_json(tmp_path, capsys):
     (["ablate", "--data", "{data}", *RANK_ARGS, "--thresholds", "nan,2"],
      "ablation_thresholds must be >= 0"),
     (["optimize", "--data", "{data}", *OPT_ARGS, "--sigma0", "inf"], "sigma0 must be positive"),
+    (["rank", "--data", "{data}", *RANK_ARGS, "--d-max", "nan"], "d_max must be positive"),
+    (["rank", "--data", "{data}", *RANK_ARGS, "--d-max", "inf"], "d_max must be positive"),
+    (["rank", "--data", "{data}", *RANK_ARGS, "--sizes", "6", "--d-max", "nan"],
+     "d_max must be positive"),
 ], ids=["ablate-plan-L", "ablate-plan-many", "ablate-plan-thresholds",
         "rank-replicates-without-sizes", "score-hypothesis-and-file", "rank-format",
         "recover-seed", "rank-sizes-above-n", "score-file-without-coords",
         "optimize-zero-response-components", "optimize-zero-latent-components",
-        "score-ridge-lambda-nan", "ablate-threshold-nan", "optimize-sigma0-inf"])
+        "score-ridge-lambda-nan", "ablate-threshold-nan", "optimize-sigma0-inf",
+        "rank-d-max-nan", "rank-d-max-inf", "sweep-d-max-nan"])
 def test_refused_options_write_nothing(tmp_path, data_csv, capsys, argv, needle):
     # a flag the chosen mode would ignore, a value it cannot use (NaN and inf
     # included), or a sweep size above N, is refused before any output

@@ -373,3 +373,109 @@ def test_csv_with_truth_needs_sidecar_target(tmp_path):
     (tmp_path / "data.csv.json").unlink()
     with pytest.raises(ValueError):
         load_dataset(path)
+
+
+# ---------------------------------------------------------------------------
+# CSV memo
+
+
+def _memo_csv(tmp_path):
+    ds, _ = tiny_dataset(seed=3)
+    path = tmp_path / "data.csv"
+    save_dataset(ds, path)
+    return ds, path, tmp_path / "data.csv.cache"
+
+
+def _bits(ds):
+    return [a.tobytes() for a in (ds.stimuli, ds.responses, ds.truth.distances,
+                                  ds.truth.target.coords)]
+
+
+def test_csv_memo_reload_is_bitwise_and_skips_the_parse(tmp_path, monkeypatch):
+    ds, path, memo = _memo_csv(tmp_path)
+    first = load_dataset(path)
+    cols = ds.stimulus_dim + ds.response_dim + 1
+    assert memo.stat().st_size == 40 + 8 * ds.n * cols
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("parsed although the memo is valid")
+
+    monkeypatch.setattr(np, "loadtxt", no_parse)
+    second = load_dataset(path)
+    assert _bits(second) == _bits(first)
+    assert second.provenance == first.provenance
+
+
+def test_csv_memo_follows_a_same_length_edit(tmp_path):
+    ds, path, memo = _memo_csv(tmp_path)
+    load_dataset(path)
+    header, row, *rest = path.read_text().split("\n")
+    fields = row.split(",")
+    resp = fields[ds.stimulus_dim]
+    dot = resp.index(".") + 1
+    fields[ds.stimulus_dim] = resp[:dot] + str((int(resp[dot]) + 1) % 10) + resp[dot + 1:]
+    edited = "\n".join([header, ",".join(fields), *rest])
+    assert len(edited) == path.stat().st_size
+    path.write_text(edited)
+    back = load_dataset(path)
+    assert back.responses[0, 0] == float(fields[ds.stimulus_dim])
+    assert back.responses[0, 0] != ds.responses[0, 0]
+
+
+@pytest.mark.parametrize("damage", [
+    lambda raw: bytes([raw[0] ^ 1]) + raw[1:],
+    lambda raw: raw[:-8],
+    lambda raw: raw + bytes(8),
+    lambda raw: b"0123456789",
+], ids=["wrong-digest", "cut", "trailing", "garbage"])
+def test_damaged_csv_memo_is_ignored_and_rewritten(tmp_path, damage):
+    _, path, memo = _memo_csv(tmp_path)
+    first = load_dataset(path)
+    good = memo.read_bytes()
+    memo.write_bytes(damage(good))
+    assert _bits(load_dataset(path)) == _bits(first)
+    assert memo.read_bytes() == good
+
+
+def test_directory_at_csv_memo_path_is_ignored(tmp_path):
+    ds, path, memo = _memo_csv(tmp_path)
+    memo.mkdir()
+    assert _bits(load_dataset(path)) == _bits(ds)
+    assert memo.is_dir()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_unwritable_csv_memo_is_skipped(tmp_path, monkeypatch):
+    ds, path, memo = _memo_csv(tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise PermissionError("read-only")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert _bits(load_dataset(path)) == _bits(ds)
+    assert not memo.exists()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_csv_memo_keeps_the_sidecar_check(tmp_path):
+    _, path, memo = _memo_csv(tmp_path)
+    load_dataset(path)
+    assert memo.exists()
+    sidecar = tmp_path / "data.csv.json"
+    meta = json.loads(sidecar.read_text())
+    meta["hidden_target"][0] += 1.0
+    sidecar.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="hidden distances inconsistent with target"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("stim_0,resp_0\n", "has a header but no rows"),
+    ("stim_0,resp_0\n1,2,3\n1,2,3\n", "rows in .* have 3 values, but its header names 2"),
+], ids=["header-only", "row-width"])
+def test_csv_refusals_repeat_with_a_memo(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            load_dataset(path)
