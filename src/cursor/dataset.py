@@ -336,16 +336,15 @@ def _load_csv(path, sidecar):
         body_start = fh.tell()
         if not any(line.strip() for line in fh):
             raise ValueError(f"dataset {path} has a header but no rows")
-        fh.seek(body_start)
-        body = _parsed_body(path, fh)
-    dz = sum(1 for c in header if c.startswith("stim_"))
-    de = sum(1 for c in header if c.startswith("resp_"))
-    has_dist = header[-1] == "true_dist"
-    if dz == 0 or de == 0 or header != (
-        [f"stim_{j}" for j in range(dz)] + [f"resp_{j}" for j in range(de)]
-        + ["true_dist"] * has_dist
-    ):
-        raise ValueError(f"unrecognized dataset header in {path}")
+        dz = sum(1 for c in header if c.startswith("stim_"))
+        de = sum(1 for c in header if c.startswith("resp_"))
+        has_dist = header[-1] == "true_dist"
+        if dz == 0 or de == 0 or header != (
+            [f"stim_{j}" for j in range(dz)] + [f"resp_{j}" for j in range(de)]
+            + ["true_dist"] * has_dist
+        ):
+            raise ValueError(f"unrecognized dataset header in {path}")
+        body = _parsed_body(path, fh, body_start)
     if body.size and body.shape[1] != len(header):
         raise ValueError(f"dataset rows in {path} have {body.shape[1]} values, "
                          f"but its header names {len(header)} columns")
@@ -360,15 +359,20 @@ def _load_csv(path, sidecar):
     return StimulusResponseDataset(stimuli, responses, truth, sidecar.get("provenance", {}))
 
 
-def _parsed_body(path, fh) -> np.ndarray:
-    """np.loadtxt of the CSV body at fh, memoized in <name>.cache.
+def _parsed_body(path, fh, body_start) -> np.ndarray:
+    """np.loadtxt of the CSV body at body_start in fh, memoized in <name>.cache.
 
     The memo is used only if it holds this file's digest and exactly the
     values its header promises; otherwise the body is parsed and the memo
     rewritten, or left alone if the directory refuses the write.
     """
-    with open(path, "rb") as raw:
-        digest = hashlib.file_digest(raw, "sha256").digest()
+    # Hash the open handle, not the path, so the digest names the bytes that
+    # are parsed even if the file is replaced meanwhile.
+    fh.seek(0)
+    sha = hashlib.sha256()
+    for chunk in iter(lambda: fh.buffer.read(1 << 20), b""):
+        sha.update(chunk)
+    digest = sha.digest()
     memo = path.with_name(path.name + ".cache")
     try:
         with open(memo, "rb") as m:
@@ -382,6 +386,7 @@ def _parsed_body(path, fh) -> np.ndarray:
                         return body.reshape(rows, cols)
     except OSError:
         pass
+    fh.seek(body_start)
     body = np.loadtxt(fh, delimiter=",", ndmin=2)
     tmp = memo.with_name(f"{memo.name}.{os.getpid()}.tmp")
     try:

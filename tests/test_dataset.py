@@ -1,3 +1,5 @@
+import builtins
+import hashlib
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cursor.dataset
 from cursor.cli import main as cli_main
 from cursor.dataset import (
     EpochTensor,
@@ -469,13 +472,66 @@ def test_csv_memo_keeps_the_sidecar_check(tmp_path):
         load_dataset(path)
 
 
-@pytest.mark.parametrize("text,message", [
-    ("stim_0,resp_0\n", "has a header but no rows"),
-    ("stim_0,resp_0\n1,2,3\n1,2,3\n", "rows in .* have 3 values, but its header names 2"),
-], ids=["header-only", "row-width"])
-def test_csv_refusals_repeat_with_a_memo(tmp_path, text, message):
+@pytest.mark.parametrize("text,message,parsed", [
+    ("stim_0,resp_0\n", "has a header but no rows", False),
+    ("stim_0,resp_0\n1,2,3\n1,2,3\n", "rows in .* have 3 values, but its header names 2", True),
+    ("a,b\n1,2\n", "unrecognized dataset header", False),
+], ids=["header-only", "row-width", "bad-header"])
+def test_csv_refusals_repeat_with_a_memo(tmp_path, text, message, parsed):
     path = tmp_path / "bad.csv"
     path.write_text(text)
     for _ in range(2):
         with pytest.raises(ValueError, match=message):
             load_dataset(path)
+    # A file refused before its body is parsed leaves no memo beside it.
+    assert (tmp_path / "bad.csv.cache").exists() == parsed
+
+
+def test_csv_memo_needs_no_file_digest(tmp_path, monkeypatch):
+    # hashlib.file_digest is new in Python 3.11; the memo must work without it.
+    monkeypatch.delattr(hashlib, "file_digest", raising=False)
+    ds, path, memo = _memo_csv(tmp_path)
+    first = load_dataset(path)
+    assert memo.exists()
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("parsed although the memo is valid")
+
+    monkeypatch.setattr(np, "loadtxt", no_parse)
+    assert _bits(load_dataset(path)) == _bits(first)
+
+
+def test_csv_memo_key_names_the_parsed_bytes(tmp_path, monkeypatch):
+    # Swap the CSV by rename after every open, as an atomic save would: the
+    # memo written must still pair a digest with the values of those bytes.
+    # Without truth, the one sidecar fits both files.
+    path, memo = tmp_path / "data.csv", tmp_path / "data.csv.cache"
+    contents = []
+    for seed in (3, 4):
+        ds, _ = tiny_dataset(seed=seed)
+        save_dataset(StimulusResponseDataset(ds.stimuli, ds.responses), path)
+        contents.append(path.read_bytes())
+    path.write_bytes(contents[0])
+    swaps = []
+
+    def swapping_open(file, *args, **kwargs):
+        fh = builtins.open(file, *args, **kwargs)
+        if Path(file) == path:
+            swaps.append(None)
+            tmp = tmp_path / "swap.tmp"
+            tmp.write_bytes(contents[len(swaps) % 2])
+            os.replace(tmp, path)
+        return fh
+
+    monkeypatch.setattr(cursor.dataset, "open", swapping_open, raising=False)
+    load_dataset(path)
+    raw = memo.read_bytes()
+    key, _, _ = cursor.dataset._MEMO_HEAD.unpack_from(raw)
+    values = np.frombuffer(raw, dtype="<f8", offset=cursor.dataset._MEMO_HEAD.size)
+    assert len(swaps) >= 2
+    monkeypatch.undo()
+    which = [hashlib.sha256(c).digest() for c in contents].index(key)
+    path.write_bytes(contents[which])
+    memo.unlink()
+    ds = load_dataset(path)
+    assert values.tobytes() == np.hstack([ds.stimuli, ds.responses]).tobytes()
