@@ -329,15 +329,23 @@ def recover_target(
 
     distances = _lifted_distances(pca_z, ds.stimuli)
 
-    def objective(ys: np.ndarray) -> list[float]:
-        return [rep.score for rep in scorer.score_distances(distances(ys))]
+    def objective(ys: np.ndarray) -> np.ndarray:
+        # A candidate whose distances overflow lies outside S(h)'s domain: it
+        # scores NaN, which _maximize records as a nonfinite evaluation.
+        d = distances(ys)
+        finite = np.isfinite(d.max(axis=1))
+        scores = np.full(len(ys), np.nan)
+        if finite.any():
+            scores[finite] = [rep.score for rep in scorer.score_distances(d[finite])]
+        return scores
 
     distance_fn = None
     if ds.truth is not None:
         target = ds.truth.target.coords
 
         def distance_fn(ys: np.ndarray) -> np.ndarray:
-            return np.linalg.norm(pca_inverse(pca_z, ys) - target, axis=1)
+            with np.errstate(over="ignore"):  # logged as inf for a candidate that overflows
+                return np.linalg.norm(pca_inverse(pca_z, ys) - target, axis=1)
 
     trace = _maximize(objective, cma, distance_fn)
     if trace.best_point is None:

@@ -9,23 +9,25 @@ responses were shuffled by a seeded permutation, and return
 Both branches consume identical fold splits, so an estimator that ignores
 responses (dummy) scores exactly 1.  A HypothesisScorer caches everything
 about (dataset, config) that does not depend on h: fold splits, permutations
-and one factorization per fold of the standardized training responses.  The
+and one factorization per cell of the standardized training responses.  The
 centered responses, their Gram matrix and column sums belong to the dataset
 (StimulusResponseDataset.centered_gram), formed once and shared by every
 scorer built on that object; a fold's training Gram matrix is the full one
-minus its validation rows' share.  Per branch, the standardized Gram matrices
-C_std of all folds are formed in one stacked pass, and a fold keeps
+minus its validation rows' share.  The aligned branch and every shuffled one
+form one stack of (branch, fold) cells, and the standardized Gram matrices
+C_std of all cells are formed in one pass.  A cell keeps
 K = (C_std + lambda I)^-1 (lambda = 0 for OLS), one De x De inverse rather
-than an SVD of its N_train x De rows; a shuffled branch, which only reorders
-rows, copies none.  A fold whose Gram matrix would lose accuracy (no more
-training rows than columns, a constant column, or an ill-conditioned C_std)
-takes the SVD of its standardized rows instead.  The condition guard is one
-stacked Cholesky of C_std shifted down by GRAM_MIN_EIG_RATIO * ||C_std||_F,
-which every well-conditioned stack passes; only a stack that fails it pays
-for the eigenvalues, which then decide fold by fold.  Where C_std passes,
-the OLS filter drops no singular direction, so with Xs = U diag(s) V^T the
-standardized centered training rows and phi the estimator's spectral filter,
-the SVD solve V diag(phi(s)) U^T yc equals K Xs^T yc.
+than an SVD of its N_train x De rows; a branch, which only reorders rows,
+keeps one inverse permutation of them.  A cell whose Gram matrix would lose
+accuracy (no more training rows than columns, a constant column, or an
+ill-conditioned C_std) takes the SVD of its standardized rows instead.  The
+condition guard is one stacked Cholesky of C_std shifted down by
+GRAM_MIN_EIG_RATIO * ||C_std||_F, which every well-conditioned stack passes;
+only a stack that fails it pays for the eigenvalues, which then decide cell
+by cell.  Where C_std passes, the OLS filter drops no singular direction, so
+with Xs = U diag(s) V^T the standardized centered training rows and phi the
+estimator's spectral filter, the SVD solve V diag(phi(s)) U^T yc equals
+K Xs^T yc.
 
 HypothesisScorer.score_points scores B hypotheses in one call; score_point is
 its B = 1 case.  It computes the B x N distances d with pairwise_distances
@@ -35,17 +37,19 @@ score_distances directly.  Each hypothesis's distances are centered once,
 dc = d - mean(d), and a fold's training mean of dc is the full sum minus its
 validation rows' share.  The target std needs no computing: OLS and ridge
 predictions are linear in the targets, so it cancels out of every residual.
-On the Gram path, X0[rows]^T yc for every fold and hypothesis is one dc @ X0
-GEMM per branch (dc taken in the branch's inverse row order), minus the
-validation rows' share.  The weights, predictions and RMSEs then come from
-products stacked over folds, so a generation of hypotheses costs a handful
-of numpy calls per branch rather than a Python loop over hypotheses and
-folds.  At N=3000, De=20, 10 folds and B=10 (one OpenBLAS thread on a 2-core
-Xeon), score_distances takes about 0.12 ms per hypothesis.  The distances in
-Dz=32 coordinates take another 0.22 ms, and recover_target's, in k=10 PCA
-coordinates, 0.04 ms.  SVD folds, which appear only at small N or on
-degenerate responses, loop over folds and hypotheses in the SVD reference's
-own arithmetic, because an ill-conditioned fold amplifies any other rounding.
+On the Gram path, X0[rows]^T yc for every cell and hypothesis comes from one
+stacked GEMM of every branch's rows of dc (each in its branch's inverse row
+order) with X0, minus the validation rows' share.  The weights, predictions
+and RMSEs then come from products stacked over cells, so a generation of
+hypotheses costs a handful of numpy calls rather than a Python loop over
+branches, hypotheses and folds.  At N=3000, De=20, 10 folds and B=10 (one
+OpenBLAS thread on a 2-core Xeon), score_distances takes about 0.11 ms per
+hypothesis.  The distances in Dz=32 coordinates take another 0.21 ms, and
+recover_target's, in k=10 PCA coordinates, 0.03 ms.  SVD cells, which appear
+only at small N or on degenerate responses, loop over hypotheses in the SVD
+reference's own arithmetic, because an ill-conditioned fold amplifies any
+other rounding.  S(h) is defined for finite distances from every stimulus:
+score_distances refuses a row that holds inf or NaN.
 """
 
 from __future__ import annotations
@@ -169,31 +173,6 @@ class _SvdFold:
         self.x_val_c = standardize_apply(x_val, *scaler) - xm
 
 
-class _Branch:
-    """The folds of one branch, which pairs target i with response row order[i].
-
-    inv is the inverse of order (None when the branch keeps the rows in
-    place).  The folds on the Gram path are stacked along a leading fold
-    axis: gram selects them (a slice when every fold is one), mu and sigma
-    standardize their training rows, k holds (C_std + lambda I)^-1 of their
-    standardized Gram matrices C_std and x_val_c their standardized validation
-    rows.  svd maps each other fold to its _SvdFold.  paths[f] records how
-    fold f is solved: "gram", "svd", or "mean" under the dummy estimator,
-    which solves nothing.
-    """
-
-    __slots__ = ("inv", "paths", "gram", "mu", "sigma", "k", "x_val_c", "svd")
-
-    def __init__(self, inv, paths, factors=(None,) * 4, svd=None):
-        self.inv = inv
-        self.paths = paths
-        self.svd = svd or {}
-        self.gram = [f for f, path in enumerate(paths) if path == "gram"]
-        if len(self.gram) == len(paths):
-            self.gram = slice(None)
-        self.mu, self.sigma, self.k, self.x_val_c = factors
-
-
 def _rms(resid: np.ndarray) -> np.ndarray:
     """Root mean square over the last axis; squares resid in place."""
     np.square(resid, out=resid)
@@ -210,14 +189,16 @@ def pairwise_distances(x: np.ndarray, h: np.ndarray, base=None) -> np.ndarray:
     """
     d = np.empty((h.shape[0], x.shape[0]))
     buf = np.empty_like(d)
-    if base is None:
-        np.square(np.subtract(x[:, 0], h[:, :1], out=d), out=d)
-        first = 1
-    else:
-        d[...] = base
-        first = 0
-    for k in range(first, h.shape[1]):
-        d += np.square(np.subtract(x[:, k], h[:, k:k + 1], out=buf), out=buf)
+    # A square that overflows leaves d = inf, which score_distances refuses.
+    with np.errstate(over="ignore"):
+        if base is None:
+            np.square(np.subtract(x[:, 0], h[:, :1], out=d), out=d)
+            first = 1
+        else:
+            d[...] = base
+            first = 0
+        for k in range(first, h.shape[1]):
+            d += np.square(np.subtract(x[:, k], h[:, k:k + 1], out=buf), out=buf)
     return np.sqrt(d, out=d)
 
 
@@ -234,7 +215,20 @@ def _well_conditioned(c: np.ndarray) -> np.ndarray:
 
 
 class HypothesisScorer:
-    """Scores many hypotheses against one dataset under one config."""
+    """Scores many hypotheses against one dataset under one config.
+
+    The scorer is one stack of (branch, fold) cells.  Branch p pairs target i
+    with response row orders[p, i]: branch 0 is the aligned one (the identity,
+    or the control permutation under shuffle_aligned), branches 1..n_shuffles
+    the shuffled ones, and _inv holds each order's inverse.  Cell (p, f) is
+    fold f of branch p; _paths[p, f] records how it is solved: "gram", "svd",
+    or "mean" under the dummy estimator, which solves nothing.  The Gram
+    factors of every cell are stacked branches x folds: _mu and _sigma
+    standardize its training rows, _k holds (C_std + lambda I)^-1 of its
+    standardized Gram matrix C_std and _x_val_c its standardized validation
+    rows.  An SVD cell keeps placeholder Gram factors, whose results _rmses
+    overwrites, and _svd maps it to its _SvdFold.
+    """
 
     def __init__(self, ds: StimulusResponseDataset, cfg: ScoreConfig):
         self.ds = ds
@@ -243,6 +237,8 @@ class HypothesisScorer:
         self.splits = cv_splits(cfg.cv, n)
         self._val = np.stack([val for _, val in self.splits])
         self._n_train = self.splits[0][0].shape[0]
+        # Every branch takes its folds from self.splits.
+        self._digest = _splits_digest(self.splits)
         self.seeds = {
             "cv_seed": int(cfg.cv.seed),
             "perm_seed": int(cfg.perm_seed),
@@ -250,104 +246,102 @@ class HypothesisScorer:
             "aligned_control_seed": None,
         }
 
+        aligned_order = np.arange(n)
         if cfg.shuffle_aligned:
             control_seed = derive_seed(cfg.perm_seed, "aligned-control")
             self.seeds["aligned_control_seed"] = control_seed
             aligned_order = draw_permutation(n, control_seed)
-        else:
-            aligned_order = None
         shuffle_seeds = [cfg.perm_seed] + [
             derive_seed(cfg.perm_seed, "multi-shuffle", j) for j in range(1, cfg.n_shuffles)
         ]
-        shuffled_orders = [draw_permutation(n, s) for s in shuffle_seeds]
+        orders = np.stack([aligned_order] + [draw_permutation(n, s) for s in shuffle_seeds])
+        self._inv = np.empty_like(orders)
+        np.put_along_axis(self._inv, orders, np.arange(n), axis=1)
 
-        if cfg.estimator.kind != "dummy_mean":
-            # Centered globally first: a column's offset would otherwise cancel
-            # its variance out of the Gram matrix.
-            self._x0, self._gram, self._colsum = ds.centered_gram
-        self._aligned = self._branch(aligned_order)
-        self._shuffled = [self._branch(order) for order in shuffled_orders]
-        # Every branch takes its folds from self.splits.
-        self._digest = _splits_digest(self.splits)
-
-    def _branch(self, order) -> _Branch:
-        spec = self.cfg.estimator
-        n_folds = len(self.splits)
+        spec = cfg.estimator
+        rows_val = orders[:, self._val]  # branches x folds x n_val
+        self._paths = np.full(rows_val.shape[:2], "mean")
         if spec.kind == "dummy_mean":
-            return _Branch(None, ("mean",) * n_folds)
-        rows_val = self._val if order is None else order[self._val]
+            return
+        # Centered globally first: a column's offset would otherwise cancel
+        # its variance out of the Gram matrix.
+        self._x0, x0_gram, colsum = ds.centered_gram
         n_train, de = self._n_train, self._x0.shape[1]
-        gram = np.arange(n_folds if n_train > de else 0)
-        factors = (None,) * 4
-        if gram.size:
-            # Every fold's validation rows of X0 (folds x n_val x De).  A fold's
-            # training Gram matrix is the full one minus their share, centered
-            # on the training mean mu.
+        ok = np.zeros(self._paths.shape, dtype=bool)
+        self._k = None
+        if n_train > de:
+            # Every cell's validation rows of X0 (branches x folds x n_val x De).
+            # A cell's training Gram matrix is the full one minus their share,
+            # centered on the training mean mu.
             x_val = self._x0[rows_val]
-            mu = self._colsum - x_val.sum(axis=1)
+            mu = colsum - x_val.sum(axis=2)
             mu /= n_train
-            c = x_val.transpose(0, 2, 1) @ x_val
-            np.subtract(self._gram, c, out=c)
-            c -= n_train * (mu[:, :, None] * mu[:, None, :])
+            c = x_val.swapaxes(2, 3) @ x_val
+            np.subtract(x0_gram, c, out=c)
+            c -= n_train * (mu[..., :, None] * mu[..., None, :])
             # A variance rounded below zero gives sigma 0, which fails the floor too.
-            sigma = np.sqrt(np.maximum(np.diagonal(c, axis1=1, axis2=2), 0.0) / (n_train - 1))
-            # A failing fold is dropped by taking copies of the rest; while
-            # every fold passes, each step below writes in place.
-            ok = np.all(sigma >= STD_FLOOR, axis=1)
-            if not ok.all():
-                gram, c, sigma = gram[ok], c[ok], sigma[ok]
-            c /= sigma[:, :, None] * sigma[:, None, :]
-            ok = _well_conditioned(c)
-            if not ok.all():
-                gram, c, sigma = gram[ok], c[ok], sigma[ok]
-            if gram.size < n_folds:
-                mu, x_val = mu[gram], x_val[gram]
+            sigma = np.sqrt(np.maximum(np.diagonal(c, axis1=2, axis2=3), 0.0) / (n_train - 1))
+            # A cell that fails a test goes to the SVD path; its Gram factors
+            # become placeholders (sigma 1, C the identity), whose results
+            # _rmses overwrites.
+            ok = np.all(sigma >= STD_FLOOR, axis=2)
+            sigma[~ok] = 1.0
+            c /= sigma[..., :, None] * sigma[..., None, :]
+            c[~ok] = np.eye(de)
+            ok &= _well_conditioned(c.reshape(-1, de, de)).reshape(ok.shape)
+            c[~ok] = np.eye(de)
             if spec.kind == "ridge":
                 c += spec.ridge_lambda * np.eye(de)
-            x_val -= mu[:, None, :]
-            x_val /= sigma[:, None, :]
-            if gram.size:
-                factors = (mu, sigma, np.linalg.inv(c), x_val)
-        paths = tuple("gram" if f in gram else "svd" for f in range(n_folds))
-        svd = {}
-        for f, (train, _) in enumerate(self.splits):
-            if paths[f] == "svd":
-                rows = train if order is None else order[train]
-                svd[f] = _SvdFold(self.ds.responses[rows], self.ds.responses[rows_val[f]])
-        inv = None
-        if order is not None:
-            inv = np.empty_like(order)
-            inv[order] = np.arange(order.shape[0])
-        return _Branch(inv, paths, factors, svd)
+            x_val -= mu[..., None, :]
+            x_val /= sigma[..., None, :]
+            self._mu, self._sigma, self._x_val_c = mu, sigma, x_val
+            self._k = np.linalg.inv(c)
+        self._paths = np.where(ok, "gram", "svd")
+        self._svd = {(p, f): _SvdFold(ds.responses[orders[p, self.splits[f][0]]],
+                                      ds.responses[rows_val[p, f]])
+                     for p, f in zip(*np.nonzero(~ok))}
 
-    def _branch_rmses(self, branch, d, dc, total, train_mean, d_val, base) -> np.ndarray:
-        """Per-fold validation RMSEs (folds x hypotheses) of one branch.
+    def _rmses(self, d) -> np.ndarray:
+        """Validation RMSEs (branches x folds x hypotheses) of every cell.
 
         d holds the distances (hypotheses x N), dc the same centered per
         hypothesis and total the row sums of dc.  Per fold (folds x hypotheses
-        x ...), train_mean is the training mean of dc, d_val the validation
-        rows of dc, and base = train_mean - d_val the residual a mean-only fit
-        leaves.  A Gram fold adds its prediction x_val_c @ w to base, with w
-        the standardized-space weights times the target std, since that std
-        cancels out of every residual.
+        x ...), d_val holds the validation rows of dc, and base =
+        train_mean - d_val the residual a mean-only fit leaves, with
+        train_mean the training mean of dc.  A Gram cell adds its prediction
+        x_val_c @ w to base, with w the standardized-space weights times the
+        target std, since that std cancels out of every residual.
         """
+        n_branches, n_folds = self._paths.shape
+        dc = d - d.mean(axis=1, keepdims=True)
+        total = dc.sum(axis=1)  # 0 up to rounding
+        d_val = dc.take(self._val, axis=1).transpose(1, 0, 2)  # folds x B x n_val
+        train_mean = (total - d_val.sum(axis=2)) / self._n_train  # full sum minus validation
+        base = train_mean[..., None] - d_val
         spec = self.cfg.estimator
         if spec.kind == "dummy_mean":
-            return _rms(base.copy())
-        rms = np.empty(base.shape[:2])
-        if branch.k is not None:
-            # X0[rows]^T (dc[train] - train_mean) per fold: the product over
+            return np.tile(_rms(base), (n_branches, 1, 1))
+        if self._k is None:
+            rms = np.empty((n_branches, n_folds, d.shape[0]))
+        else:
+            # X0[rows]^T (dc[train] - train_mean) per cell: the product over
             # all rows, minus the validation rows' share; the train_mean
-            # terms sum to total * mu.  Divided by sigma, in standardized units.
-            rows = dc if branch.inv is None else dc.take(branch.inv, axis=1)
-            g = rows @ self._x0 - total[:, None] * branch.mu[:, None, :]
-            g /= branch.sigma[:, None, :]
-            g -= d_val[branch.gram] @ branch.x_val_c
-            w = g @ branch.k
-            resid = w @ branch.x_val_c.transpose(0, 2, 1)
-            resid += base[branch.gram]
-            rms[branch.gram] = _rms(resid)
-        for f, fold in branch.svd.items():
+            # terms sum to total * mu.  Divided by sigma, in standardized
+            # units.  Each branch's rows of dc are gathered into one
+            # contiguous branches x B x N array, whose GEMM rounds as the
+            # branches' own would; mode="clip" lets take write it unbuffered,
+            # and it is freed before the residuals are formed.
+            rows = np.empty((n_branches,) + dc.shape)
+            for p, inv in enumerate(self._inv):
+                dc.take(inv, axis=1, out=rows[p], mode="clip")
+            g = (rows @ self._x0)[:, None] - total[:, None] * self._mu[..., None, :]
+            del rows
+            g /= self._sigma[..., None, :]
+            g -= d_val @ self._x_val_c
+            resid = (g @ self._k) @ self._x_val_c.swapaxes(2, 3)
+            resid += base
+            rms = _rms(resid)
+        for (p, f), fold in self._svd.items():
             # The SVD reference's arithmetic, one hypothesis per solve: an
             # ill-conditioned fold amplifies any other rounding.  y.T has
             # contiguous columns, so each column's statistics are bitwise
@@ -366,7 +360,7 @@ class HypothesisScorer:
             pred *= t_std[:, None]
             pred += t_mean[:, None]
             pred -= d.take(val, axis=1)
-            rms[f] = _rms(pred)
+            rms[p, f] = _rms(pred)
         return rms
 
     def score_points(self, hypotheses) -> list[ScoreReport]:
@@ -387,8 +381,9 @@ class HypothesisScorer:
     def score_distances(self, d, hypotheses=None) -> list[ScoreReport]:
         """Score B hypotheses from their distances d (B x N) to every stimulus.
 
-        Row b of d is ||stimuli[i] - h_b|| over i.  hypotheses, when given,
-        are the B points the rows belong to and fill each report's
+        Row b of d is ||stimuli[i] - h_b|| over i; every entry must be
+        finite, and a row that is not raises ValueError.  hypotheses, when
+        given, are the B points the rows belong to and fill each report's
         hypothesis field; without them that field is None.
         """
         d = np.asarray(d, dtype=np.float64)
@@ -396,18 +391,16 @@ class HypothesisScorer:
             raise ValueError(f"distances must be B x {self.ds.n} with B >= 1, got {d.shape}")
         if hypotheses is None:
             hypotheses = [None] * d.shape[0]
-        degenerate = d.min(axis=1) == d.max(axis=1)
+        lo, hi = d.min(axis=1), d.max(axis=1)  # NaN when the row holds one
+        finite = np.isfinite(lo) & np.isfinite(hi)
+        if not finite.all():
+            raise ValueError(f"distance row {np.argmin(finite)} is not finite: S(h) needs "
+                             "finite distances from every stimulus")
+        degenerate = lo == hi
 
-        dc = d - d.mean(axis=1, keepdims=True)
-        total = dc.sum(axis=1)  # 0 up to rounding
-        d_val = dc.take(self._val, axis=1).transpose(1, 0, 2)  # folds x B x n_val
-        train_mean = (total - d_val.sum(axis=2)) / self._n_train  # full sum minus validation
-        base = train_mean[..., None] - d_val
-
-        args = (d, dc, total, train_mean, d_val, base)
-        per_fold_aligned = self._branch_rmses(self._aligned, *args).T
-        per_fold_shuffled = np.mean(
-            [self._branch_rmses(branch, *args) for branch in self._shuffled], axis=0).T
+        rms = self._rmses(d)
+        per_fold_aligned = rms[0].T
+        per_fold_shuffled = rms[1:].mean(axis=0).T
         rmse_aligned = per_fold_aligned.mean(axis=1)
         rmse_shuffled = per_fold_shuffled.mean(axis=1)
         return [

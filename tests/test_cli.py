@@ -322,6 +322,18 @@ def test_optimize_deterministic(tmp_path, data_csv, optimize_dir):
     assert (tmp_path / "trace.jsonl").read_text() == (optimize_dir / "trace.jsonl").read_text()
 
 
+def test_optimize_records_overflowing_candidates_as_nonfinite(tmp_path, data_csv):
+    # In a box this wide some candidates' distances overflow: they are logged
+    # as nonfinite evaluations, without a RuntimeWarning, and the search goes on.
+    argv = ["optimize", "--data", data_csv, "--budget", "40", "--bounds", "2e154",
+            "--reduce-responses", "5", "--reduce-latents", "3", "--folds", "3"]
+    assert main(argv + ["-o", str(tmp_path)]) == 0
+    trace = [json.loads(line) for line in (tmp_path / "trace.jsonl").read_text().splitlines()]
+    nonfinite = [rec["nonfinite"] for rec in trace]
+    assert len(trace) == 40 and any(nonfinite) and not all(nonfinite)
+    assert all(np.isnan(rec["score"]) == rec["nonfinite"] for rec in trace)
+
+
 def test_recover_accepts_summary_and_list(tmp_path, data_csv, optimize_dir):
     out1 = tmp_path / "from_summary"
     assert main(["recover", "--data", data_csv,
@@ -449,15 +461,24 @@ def test_ablate_duplicate_labels_fail_before_plan_json(tmp_path, capsys):
     (["rank", "--data", "{data}", *RANK_ARGS, "--d-max", "inf"], "d_max must be positive"),
     (["rank", "--data", "{data}", *RANK_ARGS, "--sizes", "6", "--d-max", "nan"],
      "d_max must be positive"),
+    (["rank", "--data", "{data}", *RANK_ARGS, "--d-max", "1e308"], "distance row 0 is not finite"),
+    (["rank", "--data", "{data}", *RANK_ARGS, "--sizes", "6", "--d-max", "1e308"],
+     "distance row 0 is not finite"),
+    (["ablate", "--data", "{data}", *RANK_ARGS, "--thresholds", "0", "--d-max", "1e308"],
+     "distance row 0 is not finite"),
+    (["score", "--data", "{data}", "--hypothesis", "1e200,1e200,1e200,1e200", "--folds", "3"],
+     "distance row 0 is not finite"),
 ], ids=["ablate-plan-L", "ablate-plan-many", "ablate-plan-thresholds",
         "rank-replicates-without-sizes", "score-hypothesis-and-file", "rank-format",
         "recover-seed", "rank-sizes-above-n", "score-file-without-coords",
         "optimize-zero-response-components", "optimize-zero-latent-components",
         "score-ridge-lambda-nan", "ablate-threshold-nan", "optimize-sigma0-inf",
-        "rank-d-max-nan", "rank-d-max-inf", "sweep-d-max-nan"])
+        "rank-d-max-nan", "rank-d-max-inf", "sweep-d-max-nan", "rank-d-max-huge",
+        "sweep-d-max-huge", "ablate-d-max-huge", "score-hypothesis-huge"])
 def test_refused_options_write_nothing(tmp_path, data_csv, capsys, argv, needle):
     # a flag the chosen mode would ignore, a value it cannot use (NaN and inf
-    # included), or a sweep size above N, is refused before any output
+    # included), a sweep size above N, or a hypothesis so far away that its
+    # distances overflow, is refused before any output
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({
         "dataset": {"file": data_csv}, "hypothesis_set": {"count": 6, "d_max": 8},
@@ -469,7 +490,7 @@ def test_refused_options_write_nothing(tmp_path, data_csv, capsys, argv, needle)
     names = {"plan": plan, "data": data_csv, "h": hyp}
     assert main([a.format(**names) for a in argv] + ["-o", str(out)]) == 2
     assert needle.format(**names) in capsys.readouterr().err
-    assert not (out / "manifest.json").exists() and not (out / "plan.json").exists()
+    assert not any((out / name).exists() for name in ("manifest.json", "plan.json", "score.json"))
 
 
 @pytest.mark.parametrize("command", list(COMMANDS))

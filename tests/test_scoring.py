@@ -11,6 +11,7 @@ from cursor.dataset import StimulusResponseDataset, draw_permutation, subsample
 from cursor.estimators import CvConfig, EstimatorSpec, cv_splits
 from cursor.reference import reference_dataset, reference_score_config
 from cursor.dataset import standardize_apply, standardize_fit
+from cursor import scoring
 from cursor.scoring import (
     DENOM_FLOOR,
     GRAM_MIN_EIG_RATIO,
@@ -183,10 +184,23 @@ def test_batch_rejects_empty():
         score_batch(ds, [], fast_config())
 
 
+def test_score_distances_refuses_a_row_that_is_not_finite():
+    ds, target = tiny_dataset(seed=5)
+    scorer = HypothesisScorer(ds, fast_config(seed=5))
+    d = np.tile(np.linalg.norm(ds.stimuli - target.coords, axis=1), (3, 1))
+    for bad in (np.inf, np.nan):
+        d[1, 4] = bad
+        with pytest.raises(ValueError, match="distance row 1 is not finite"):
+            scorer.score_distances(d)
+    # Squares that overflow give inf distances, without a RuntimeWarning.
+    with pytest.raises(ValueError, match="distance row 0 is not finite"):
+        scorer.score_point(np.full(ds.stimulus_dim, 1e200))
+
+
 def test_scorers_on_one_dataset_share_its_centered_responses():
     ds, _ = tiny_dataset(seed=19)
     a, b = HypothesisScorer(ds, fast_config(seed=1)), HypothesisScorer(ds, fast_config(seed=2))
-    assert a._x0 is b._x0 and a._gram is b._gram and a._colsum is b._colsum
+    assert a._x0 is b._x0 is ds.centered_gram[0]
     assert not any(arr.flags.writeable for arr in ds.centered_gram)
 
 
@@ -257,21 +271,27 @@ def _case_dataset(case, rng, n_folds):
     return StimulusResponseDataset(stimuli, responses)
 
 
-def _reference_per_fold(ds, d, cfg):
-    """Per-fold aligned and shuffled RMSEs from the SVD reference path."""
-    splits = cv_splits(cfg.cv, ds.n)
-
-    def branch(order):
-        rows = ds.responses if order is None else ds.responses[order]
-        return cv_rmse(cfg.estimator, rows, d, cfg.cv, splits=splits)[1]
-
-    aligned_order = None
+def _branch_orders(cfg, n):
+    """Each branch's row order as the scorer draws it: the aligned one first."""
+    aligned = np.arange(n)
     if cfg.shuffle_aligned:
-        aligned_order = draw_permutation(ds.n, derive_seed(cfg.perm_seed, "aligned-control"))
+        aligned = draw_permutation(n, derive_seed(cfg.perm_seed, "aligned-control"))
     seeds = [cfg.perm_seed] + [derive_seed(cfg.perm_seed, "multi-shuffle", j)
                                for j in range(1, cfg.n_shuffles)]
-    runs = [branch(draw_permutation(ds.n, s)) for s in seeds]
-    return branch(aligned_order), [float(np.mean(col)) for col in zip(*runs)]
+    return [aligned] + [draw_permutation(n, s) for s in seeds]
+
+
+def _reference_per_branch(ds, d, cfg):
+    """Per-fold RMSEs (branches x folds) of every branch from the SVD reference path."""
+    splits = cv_splits(cfg.cv, ds.n)
+    return np.array([cv_rmse(cfg.estimator, ds.responses[order], d, cfg.cv, splits=splits)[1]
+                     for order in _branch_orders(cfg, ds.n)])
+
+
+def _reference_per_fold(ds, d, cfg):
+    """Per-fold aligned and shuffled RMSEs from the SVD reference path."""
+    rms = _reference_per_branch(ds, d, cfg)
+    return rms[0].tolist(), rms[1:].mean(axis=0).tolist()
 
 
 def _assert_reports_match(got, want, rel):
@@ -281,7 +301,7 @@ def _assert_reports_match(got, want, rel):
 
 
 def _paths(scorer):
-    return {path for branch in [scorer._aligned, *scorer._shuffled] for path in branch.paths}
+    return set(scorer._paths.flat)
 
 
 @given(case=st.sampled_from(FOLD_CASES), kind=st.sampled_from(["ols", "ridge", "dummy_mean"]),
@@ -426,16 +446,47 @@ def test_gram_guard_passes_a_well_conditioned_stack_without_eigenvalues(de, monk
 
 def test_scorer_fold_paths_follow_the_eigenvalue_rule():
     # At a whole-dataset ratio of 1e-3 some folds' training rows fall on
-    # either side of the bound; each branch's paths must match the rule
-    # applied to the fold's own standardized training rows.
+    # either side of the bound.  A shuffled aligned branch and two shuffles
+    # give three branches whose cells mix both paths; each cell's path must
+    # match the rule applied to its own standardized training rows, and its
+    # RMSEs those of the SVD reference on that branch and fold.
     ds = _two_column_dataset(1e-3)
-    cfg = ScoreConfig(cv=CvConfig(n_folds=5, seed=1), perm_seed=2)
+    cfg = ScoreConfig(cv=CvConfig(n_folds=5, seed=1), perm_seed=2, n_shuffles=2,
+                      shuffle_aligned=True)
     scorer = HypothesisScorer(ds, cfg)
+    assert scorer._paths.shape == (3, 5)
     assert _paths(scorer) == {"gram", "svd"}
-    orders = [None, draw_permutation(ds.n, cfg.perm_seed)]
-    for branch, order in zip([scorer._aligned, *scorer._shuffled], orders):
-        for (train, _), path in zip(scorer.splits, branch.paths):
-            x = ds.responses[train if order is None else order[train]]
+    for order, paths in zip(_branch_orders(cfg, ds.n), scorer._paths):
+        for (train, _), path in zip(scorer.splits, paths):
+            x = ds.responses[order[train]]
             xs = standardize_apply(x, *standardize_fit(x))
             lam = np.linalg.eigvalsh(np.corrcoef(xs, rowvar=False))
             assert path == ("gram" if lam[0] > GRAM_MIN_EIG_RATIO * lam[-1] else "svd")
+    H = np.stack([ds.stimuli[0], np.zeros(3), np.full(3, 5.0)])
+    d = np.linalg.norm(ds.stimuli[None] - H[:, None], axis=2)
+    rms = scorer._rmses(d)
+    for b in range(len(H)):
+        assert rms[:, :, b] == pytest.approx(_reference_per_branch(ds, d[b], cfg), rel=1e-12)
+
+
+@pytest.mark.parametrize("n_shuffles", [1, 3])
+@pytest.mark.parametrize("shuffle_aligned", [False, True])
+def test_gram_build_factors_every_cell_in_one_pass(n_shuffles, shuffle_aligned, monkeypatch):
+    # One condition guard and one inverse cover every (branch, fold) cell.
+    calls = {"_well_conditioned": 0, "inv": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(scoring, "_well_conditioned",
+                        counted("_well_conditioned", scoring._well_conditioned))
+    monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+    ds, _ = tiny_dataset(seed=1)
+    cfg = replace(fast_config(seed=1), n_shuffles=n_shuffles, shuffle_aligned=shuffle_aligned)
+    scorer = HypothesisScorer(ds, cfg)
+    assert _paths(scorer) == {"gram"}
+    assert scorer._paths.shape == (1 + n_shuffles, cfg.cv.n_folds)
+    assert calls == {"_well_conditioned": 1, "inv": 1}
