@@ -4,17 +4,27 @@ Two trees that print the same digest score every case below bit for bit alike:
 ols, ridge and dummy; 1-3 shuffles; the aligned branch kept or shuffled; Gram,
 SVD and mixed fold stacks; reference subsamples; and reference trials 0 and 1.
 
-    PYTHONPATH=src python scripts/score_digest.py
+    PYTHONPATH=src python scripts/score_digest.py [--save FILE] [--against FILE]
+
+A change that only rounds differently moves the digest, so --save writes the
+hashed values (every per-fold RMSE and the trial rows) to a JSON file, and
+--against compares this tree's values with such a file.  It prints the largest
+relative difference of the floats and exits 1 when that exceeds 1e-12 or when
+anything else (a rank, a flag, the number of values) differs.
 """
 
+import argparse
 import hashlib
 import json
+import sys
 
 import numpy as np
 
 from cursor import CvConfig, EstimatorSpec, HypothesisScorer, ScoreConfig, dataset_from_arrays
 from cursor.dataset import subsample
 from cursor.reference import reference_dataset, run_trial
+
+TOLERANCE = 1e-12
 
 
 def datasets():
@@ -38,20 +48,71 @@ def datasets():
         yield subsample(full, n, seed=0)
 
 
-acc = hashlib.sha256()
-for ds in datasets():
-    rng = np.random.default_rng(ds.n)
-    h = rng.standard_normal((3, ds.stimulus_dim))
-    h[1] = ds.stimuli[ds.n // 2]
-    h[2] *= 1e3
-    for kind in ("ols", "ridge", "dummy_mean"):
-        for n_shuffles in (1, 2, 3):
-            for shuffle_aligned in (False, True):
-                cfg = ScoreConfig(EstimatorSpec(kind, 4.0 if kind == "ridge" else 0.0),
-                                  CvConfig(n_folds=5, seed=1), 2, n_shuffles, shuffle_aligned)
-                scorer = HypothesisScorer(ds, cfg)
-                for rep in scorer.score_points(h) + [scorer.score_point(h[0])]:
-                    acc.update(np.array(rep.per_fold_aligned + rep.per_fold_shuffled).tobytes())
-for trial in (0, 1):
-    acc.update(json.dumps(run_trial(trial)[0], sort_keys=True).encode())
-print(acc.hexdigest())
+def collect():
+    """(digest, per-fold RMSEs, trial rows) of this tree."""
+    acc = hashlib.sha256()
+    rmses, rows = [], []
+    for ds in datasets():
+        rng = np.random.default_rng(ds.n)
+        h = rng.standard_normal((3, ds.stimulus_dim))
+        h[1] = ds.stimuli[ds.n // 2]
+        h[2] *= 1e3
+        for kind in ("ols", "ridge", "dummy_mean"):
+            for n_shuffles in (1, 2, 3):
+                for shuffle_aligned in (False, True):
+                    cfg = ScoreConfig(EstimatorSpec(kind, 4.0 if kind == "ridge" else 0.0),
+                                      CvConfig(n_folds=5, seed=1), 2, n_shuffles, shuffle_aligned)
+                    scorer = HypothesisScorer(ds, cfg)
+                    for rep in scorer.score_points(h) + [scorer.score_point(h[0])]:
+                        values = rep.per_fold_aligned + rep.per_fold_shuffled
+                        acc.update(np.array(values).tobytes())
+                        rmses.extend(values)
+    for trial in (0, 1):
+        row = run_trial(trial)[0]
+        acc.update(json.dumps(row, sort_keys=True).encode())
+        rows.append(row)
+    return acc.hexdigest(), rmses, rows
+
+
+def largest_difference(saved: dict, rmses: list, rows: list) -> float:
+    """Largest relative difference of the floats; inf when anything else differs."""
+    if len(saved["rmses"]) != len(rmses) or len(saved["rows"]) != len(rows):
+        return np.inf
+    pairs = list(zip(saved["rmses"], rmses))
+    for old, new in zip(saved["rows"], rows):
+        if old.keys() != new.keys():
+            return np.inf
+        for key, value in old.items():
+            if type(value) is float and type(new[key]) is float:
+                pairs.append((value, new[key]))
+            elif value != new[key]:
+                return np.inf
+    a, b = np.array(pairs).T
+    scale = np.maximum(np.abs(a), np.abs(b))
+    rel = np.divide(np.abs(a - b), scale, out=np.zeros_like(a), where=scale > 0)
+    return float(rel.max())
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--save", metavar="FILE", help="write the hashed values to FILE")
+    parser.add_argument("--against", metavar="FILE",
+                        help="compare with values saved by --save; exit 1 above 1e-12")
+    args = parser.parse_args()
+    digest, rmses, rows = collect()
+    print(digest)
+    if args.save:
+        with open(args.save, "w", encoding="utf-8") as fh:
+            json.dump({"digest": digest, "rmses": rmses, "rows": rows}, fh)
+    if args.against:
+        with open(args.against, "r", encoding="utf-8") as fh:
+            saved = json.load(fh)
+        worst = largest_difference(saved, rmses, rows)
+        print(f"against {saved['digest']}: largest relative difference {worst:.3g}")
+        if not worst <= TOLERANCE:
+            return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

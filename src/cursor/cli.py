@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -244,9 +245,30 @@ def _out_dir(opts: dict) -> Path:
     return path
 
 
+# Thread variables that BLAS and OpenMP builds read; the manifest records the set ones.
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "BLIS_NUM_THREADS", "GOTO_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def _environment() -> dict:
+    """What a replay's bits depend on besides the options: LAPACK rounds per build."""
+    try:
+        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    except TypeError:  # numpy < 1.26 only prints its config
+        blas = {}
+    return {
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "thread_vars": {k: os.environ[k] for k in _THREAD_VARS if k in os.environ},
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def _write_manifest(out_dir: Path, opts: dict):
     manifest = {"subcommand": opts["command"],
-                "options": {k: v for k, v in opts.items() if k != "command"}}
+                "options": {k: v for k, v in opts.items() if k != "command"},
+                "environment": _environment()}
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
@@ -330,8 +352,10 @@ def _cmd_score(opts: dict) -> int:
         "degenerate_distances": rep.degenerate_distances,
     }], out / "score.csv")
     _write_manifest(out, opts)
+    degenerate = ("; degenerate distances: equal within rounding, so S(h) is not "
+                  "meaningful" if rep.degenerate_distances else "")
     print(f"score {rep.score:.12g} (aligned rmse {rep.rmse_aligned:.12g}, "
-          f"shuffled rmse {rep.rmse_shuffled:.12g})")
+          f"shuffled rmse {rep.rmse_shuffled:.12g}{degenerate})")
     return 0
 
 

@@ -6,11 +6,12 @@ parameters.  OLS takes the rank-tolerant minimum-norm solution, ridge shrinks
 each principal direction by s/(s^2 + lambda), and the dummy ignores inputs
 entirely.  OLS and ridge are one spectral filter, spectral_filter, on the
 singular values s of the centered design.  The scorer (scoring.HypothesisScorer)
-factorizes each fold once.  Where the fold's standardized Gram matrix C is
-well conditioned, the filter amounts to the inverse (C + lambda I)^-1, with
-lambda = 0 for OLS, and the scorer keeps that inverse.  Otherwise it keeps an
-SVD of the standardized rows, and solve_centered applies the filter per
-hypothesis.
+prepares each fold once.  Where the Gram matrix C of the fold's standardized
+centered rows Xs is well conditioned, the filter amounts to solving
+(C + lambda I) w = Xs^T yc, with lambda = 0 for OLS, and the scorer keeps
+C + lambda I and solves it for every batch of hypotheses.  Otherwise it
+keeps an SVD of the standardized rows, and solve_centered applies the filter
+per hypothesis.
 """
 
 from __future__ import annotations
@@ -81,9 +82,8 @@ def solve_centered(kind: str, lam: float, u: np.ndarray, s: np.ndarray,
     """Weights vt.T @ diag(spectral_filter(s)) @ u.T @ yc from the thin SVD
     u @ diag(s) @ vt of a centered design matrix and centered targets yc.
 
-    The scorer calls this on folds it factorizes by SVD; on folds it
-    factorizes through the Gram matrix it applies the filter's equivalent
-    inverse (C + lambda I)^-1.
+    The scorer calls this on folds it factorizes by SVD; on Gram-path folds
+    it solves the filter's equivalent system (C + lambda I) w = Xs^T yc.
     """
     uy = u.T @ yc
     return vt.T @ (uy * spectral_filter(kind, lam, s, max(u.shape[0], vt.shape[1])))

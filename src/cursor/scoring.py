@@ -15,19 +15,20 @@ centered responses, their Gram matrix and column sums belong to the dataset
 scorer built on that object; a fold's training Gram matrix is the full one
 minus its validation rows' share.  The aligned branch and every shuffled one
 form one stack of (branch, fold) cells, and the standardized Gram matrices
-C_std of all cells are formed in one pass.  A cell keeps
-K = (C_std + lambda I)^-1 (lambda = 0 for OLS), one De x De inverse rather
-than an SVD of its N_train x De rows; a branch, which only reorders rows,
-keeps one inverse permutation of them.  A cell whose Gram matrix would lose
-accuracy (no more training rows than columns, a constant column, or an
-ill-conditioned C_std) takes the SVD of its standardized rows instead.  The
-condition guard is one stacked Cholesky of C_std shifted down by
-GRAM_MIN_EIG_RATIO * ||C_std||_F, which every well-conditioned stack passes;
-only a stack that fails it pays for the eigenvalues, which then decide cell
-by cell.  Where C_std passes, the OLS filter drops no singular direction, so
-with Xs = U diag(s) V^T the standardized centered training rows and phi the
-estimator's spectral filter, the SVD solve V diag(phi(s)) U^T yc equals
-K Xs^T yc.
+C_std of all cells are formed in one pass.  A cell keeps C_std + lambda I
+(lambda = 0 for OLS), one De x De matrix that each scoring call solves
+rather than an SVD of its N_train x De rows; no inverse is formed.  A
+branch, which only reorders rows, keeps one inverse permutation of them.  A
+cell whose Gram matrix would lose accuracy (no more training rows than
+columns, a constant column, or an ill-conditioned C_std) takes the SVD of
+its standardized rows instead.  The condition guard is one stacked Cholesky
+of C_std shifted down by GRAM_MIN_EIG_RATIO * ||C_std||_F, which every
+well-conditioned stack passes; only a stack that fails it pays for the
+eigenvalues, which then decide cell by cell.  Where C_std passes, the OLS
+filter drops no singular direction, so with Xs = U diag(s) V^T the
+standardized centered training rows and phi the estimator's spectral filter,
+the SVD solve V diag(phi(s)) U^T yc equals the solution w of
+(C_std + lambda I) w = Xs^T yc.
 
 HypothesisScorer.score_points scores B hypotheses in one call; score_point is
 its B = 1 case.  It computes the B x N distances d with pairwise_distances
@@ -39,16 +40,20 @@ validation rows' share.  The target std needs no computing: OLS and ridge
 predictions are linear in the targets, so it cancels out of every residual.
 On the Gram path, X0[rows]^T yc for every cell and hypothesis comes from one
 stacked GEMM of every branch's rows of dc (each in its branch's inverse row
-order) with X0, minus the validation rows' share.  The weights, predictions
-and RMSEs then come from products stacked over cells, so a generation of
-hypotheses costs a handful of numpy calls rather than a Python loop over
+order) with X0, minus the validation rows' share.  One stacked
+np.linalg.solve gives the weights of every cell and hypothesis, and the
+predictions and RMSEs come from products stacked over cells, so a generation
+of hypotheses costs a handful of numpy calls rather than a Python loop over
 branches, hypotheses and folds.  At N=3000, De=20, 10 folds and B=10 (one
-OpenBLAS thread on a 2-core Xeon), score_distances takes about 0.11 ms per
-hypothesis.  The distances in Dz=32 coordinates take another 0.21 ms, and
-recover_target's, in k=10 PCA coordinates, 0.03 ms.  SVD cells, which appear
-only at small N or on degenerate responses, loop over hypotheses in the SVD
-reference's own arithmetic, because an ill-conditioned fold amplifies any
-other rounding.  S(h) is defined for finite distances from every stimulus:
+OpenBLAS thread on a 2-core Xeon), score_distances takes about 0.09-0.14 ms
+per hypothesis.  The distances in Dz=32 coordinates take another 0.21 ms, and
+recover_target's, in k=10 PCA coordinates, 0.03 ms.  At De=64 a scorer build
+takes about 4-6 ms and one hypothesis (B=1) 1.1-1.8 ms, most of it the LU
+solves; a ranking scores one hypothesis per scorer, and a solve per call
+costs less than an inverse per build.  SVD cells, which appear only at small
+N or on degenerate responses, loop over hypotheses in the SVD reference's
+own arithmetic, because an ill-conditioned fold amplifies any other
+rounding.  S(h) is defined for finite distances from every stimulus:
 score_distances refuses a row that holds inf or NaN.
 """
 
@@ -82,8 +87,8 @@ __all__ = [
 
 # A fold is solved from its Gram matrix only when the standardized Gram's
 # smallest eigenvalue exceeds this fraction of its largest.  Forming the Gram
-# squares the condition number of the rows, and the rounding of its SPD
-# inverse grows like (lambda_max / lambda_min) * eps, at most 1e3 * 2.2e-16 ~
+# squares the condition number of the rows, and the rounding of a solve
+# with it grows like (lambda_max / lambda_min) * eps, at most 1e3 * 2.2e-16 ~
 # 2e-13 here, which keeps S(h) within 1e-12 of the SVD of the rows.  The
 # bound also puts s_min / s_max above 0.03, far above the OLS cutoff of
 # eps * max(N_train, De), so OLS inverts every direction on this path.
@@ -224,10 +229,11 @@ class HypothesisScorer:
     fold f of branch p; _paths[p, f] records how it is solved: "gram", "svd",
     or "mean" under the dummy estimator, which solves nothing.  The Gram
     factors of every cell are stacked branches x folds: _mu and _sigma
-    standardize its training rows, _k holds (C_std + lambda I)^-1 of its
-    standardized Gram matrix C_std and _x_val_c its standardized validation
-    rows.  An SVD cell keeps placeholder Gram factors, whose results _rmses
-    overwrites, and _svd maps it to its _SvdFold.
+    standardize its training rows, _c holds C_std + lambda I of its
+    standardized Gram matrix C_std, which _rmses solves rather than inverts,
+    and _x_val_c its validation rows centered on _mu.  An SVD cell keeps
+    placeholder Gram factors, whose results _rmses overwrites, and _svd maps
+    it to its _SvdFold.
     """
 
     def __init__(self, ds: StimulusResponseDataset, cfg: ScoreConfig):
@@ -268,7 +274,7 @@ class HypothesisScorer:
         self._x0, x0_gram, colsum = ds.centered_gram
         n_train, de = self._n_train, self._x0.shape[1]
         ok = np.zeros(self._paths.shape, dtype=bool)
-        self._k = None
+        self._c = None
         if n_train > de:
             # Every cell's validation rows of X0 (branches x folds x n_val x De).
             # A cell's training Gram matrix is the full one minus their share,
@@ -293,9 +299,7 @@ class HypothesisScorer:
             if spec.kind == "ridge":
                 c += spec.ridge_lambda * np.eye(de)
             x_val -= mu[..., None, :]
-            x_val /= sigma[..., None, :]
-            self._mu, self._sigma, self._x_val_c = mu, sigma, x_val
-            self._k = np.linalg.inv(c)
+            self._mu, self._sigma, self._x_val_c, self._c = mu, sigma, x_val, c
         self._paths = np.where(ok, "gram", "svd")
         self._svd = {(p, f): _SvdFold(ds.responses[orders[p, self.splits[f][0]]],
                                       ds.responses[rows_val[p, f]])
@@ -309,8 +313,9 @@ class HypothesisScorer:
         x ...), d_val holds the validation rows of dc, and base =
         train_mean - d_val the residual a mean-only fit leaves, with
         train_mean the training mean of dc.  A Gram cell adds its prediction
-        x_val_c @ w to base, with w the standardized-space weights times the
-        target std, since that std cancels out of every residual.
+        x_val_c @ w to base, with x_val_c the centered validation rows and w
+        the standardized-space weights divided by sigma and times the target
+        std, since that std cancels out of every residual.
         """
         n_branches, n_folds = self._paths.shape
         dc = d - d.mean(axis=1, keepdims=True)
@@ -321,24 +326,28 @@ class HypothesisScorer:
         spec = self.cfg.estimator
         if spec.kind == "dummy_mean":
             return np.tile(_rms(base), (n_branches, 1, 1))
-        if self._k is None:
+        if self._c is None:
             rms = np.empty((n_branches, n_folds, d.shape[0]))
         else:
             # X0[rows]^T (dc[train] - train_mean) per cell: the product over
             # all rows, minus the validation rows' share; the train_mean
-            # terms sum to total * mu.  Divided by sigma, in standardized
-            # units.  Each branch's rows of dc are gathered into one
-            # contiguous branches x B x N array, whose GEMM rounds as the
-            # branches' own would; mode="clip" lets take write it unbuffered,
-            # and it is freed before the residuals are formed.
+            # terms sum to total * mu.  Each branch's rows of dc are gathered
+            # into one contiguous branches x B x N array, whose GEMM rounds as
+            # the branches' own would; mode="clip" lets take write it
+            # unbuffered, and it is freed before the residuals are formed.
             rows = np.empty((n_branches,) + dc.shape)
             for p, inv in enumerate(self._inv):
                 dc.take(inv, axis=1, out=rows[p], mode="clip")
             g = (rows @ self._x0)[:, None] - total[:, None] * self._mu[..., None, :]
             del rows
-            g /= self._sigma[..., None, :]
             g -= d_val @ self._x_val_c
-            resid = (g @ self._k) @ self._x_val_c.swapaxes(2, 3)
+            # Divided by sigma, g is Xs^T yc in standardized units; one solve
+            # over every cell gives the standardized weights, and dividing
+            # them by sigma again applies them to the centered rows.
+            g /= self._sigma[..., None, :]
+            w = np.linalg.solve(self._c, g.swapaxes(2, 3))
+            w /= self._sigma[..., :, None]
+            resid = w.swapaxes(2, 3) @ self._x_val_c.swapaxes(2, 3)
             resid += base
             rms = _rms(resid)
         for (p, f), fold in self._svd.items():
@@ -396,7 +405,8 @@ class HypothesisScorer:
         if not finite.all():
             raise ValueError(f"distance row {np.argmin(finite)} is not finite: S(h) needs "
                              "finite distances from every stimulus")
-        degenerate = lo == hi
+        # A spread within the rounding of the distances carries no signal.
+        degenerate = hi - lo <= d.shape[1] * np.spacing(hi)
 
         rms = self._rmses(d)
         per_fold_aligned = rms[0].T

@@ -87,12 +87,49 @@ def test_score_smoke(tmp_path, data_csv, capsys):
         "--folds", "3", "--seed", "1", "-o", str(tmp_path),
     ])
     assert code == 0
-    assert "score " in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "score " in out and "degenerate" not in out
     with open(tmp_path / "score.json") as fh:
         rep = json.load(fh)
     assert np.isfinite(rep["score"])
     assert rep["rmse_aligned"] > 0 and rep["rmse_shuffled"] > 0
+    assert not rep["degenerate_distances"]
     assert (tmp_path / "score.csv").exists()
+
+
+@pytest.mark.parametrize("coord", ["5e153", "6e153"])
+def test_score_says_when_distances_are_degenerate(tmp_path, data_csv, capsys, coord):
+    # This far from every stimulus the distances agree within their own
+    # rounding, whether or not they round to one value, so S(h) measures
+    # rounding noise; at 6e153 it is nonzero and must still be flagged.
+    code = main(["score", "--data", data_csv, "--hypothesis", ",".join([coord] * 4),
+                 "--folds", "3", "-o", str(tmp_path)])
+    assert code == 0
+    assert "degenerate distances" in capsys.readouterr().out
+    rep = json.loads((tmp_path / "score.json").read_text())
+    assert rep["degenerate_distances"]
+
+
+def test_manifest_records_the_environment(tmp_path, data_csv, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    first, again = tmp_path / "first", tmp_path / "again"
+    args = ["score", "--data", data_csv, "--hypothesis", "0,0,0,0", "--folds", "3"]
+    assert main(args + ["-o", str(first)]) == 0
+    env = json.loads((first / "manifest.json").read_text())["environment"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env == {
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "numpy": np.__version__,
+        "blas": {"name": blas["name"], "version": blas["version"]},
+        "thread_vars": {k: os.environ[k] for k in env["thread_vars"]},
+        "cpu_count": os.cpu_count(),
+    }
+    assert env["thread_vars"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert "OMP_NUM_THREADS" not in env["thread_vars"]
+    # replay reads only the options
+    assert main(["score", "--config", str(first / "manifest.json"), "-o", str(again)]) == 0
+    assert (first / "score.json").read_bytes() == (again / "score.json").read_bytes()
 
 
 def test_score_requires_hypothesis(tmp_path, data_csv, capsys):

@@ -472,8 +472,9 @@ def test_scorer_fold_paths_follow_the_eigenvalue_rule():
 @pytest.mark.parametrize("n_shuffles", [1, 3])
 @pytest.mark.parametrize("shuffle_aligned", [False, True])
 def test_gram_build_factors_every_cell_in_one_pass(n_shuffles, shuffle_aligned, monkeypatch):
-    # One condition guard and one inverse cover every (branch, fold) cell.
-    calls = {"_well_conditioned": 0, "inv": 0}
+    # One condition guard covers every (branch, fold) cell and no inverse is
+    # formed; scoring solves every cell of the stack in one call.
+    calls = {"_well_conditioned": 0, "inv": 0, "solve": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -484,9 +485,17 @@ def test_gram_build_factors_every_cell_in_one_pass(n_shuffles, shuffle_aligned, 
     monkeypatch.setattr(scoring, "_well_conditioned",
                         counted("_well_conditioned", scoring._well_conditioned))
     monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
-    ds, _ = tiny_dataset(seed=1)
+    monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+    ds, _ = tiny_dataset(seed=1, n_traj=12, de=20)
     cfg = replace(fast_config(seed=1), n_shuffles=n_shuffles, shuffle_aligned=shuffle_aligned)
     scorer = HypothesisScorer(ds, cfg)
     assert _paths(scorer) == {"gram"}
     assert scorer._paths.shape == (1 + n_shuffles, cfg.cv.n_folds)
-    assert calls == {"_well_conditioned": 1, "inv": 1}
+    assert calls == {"_well_conditioned": 1, "inv": 0, "solve": 0}
+    H = np.random.default_rng(1).standard_normal((10, ds.stimulus_dim))
+    d = np.linalg.norm(ds.stimuli[None] - H[:, None], axis=2)
+    batch = scorer._rmses(d)
+    assert calls == {"_well_conditioned": 1, "inv": 0, "solve": 1}
+    # Ten right-hand sides per cell solve as ten single ones do.
+    for b in range(len(H)):
+        assert batch[:, :, b] == pytest.approx(scorer._rmses(d[b:b + 1])[:, :, 0], rel=1e-12)
