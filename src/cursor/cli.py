@@ -17,7 +17,18 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
+# Thread variables that BLAS and OpenMP builds read; the manifest records the set ones.
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "BLIS_NUM_THREADS", "GOTO_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+# BLAS reads its thread count once, when numpy loads.  Every matrix cursor
+# multiplies is small (De columns, a few dozen cells, ten hypotheses), so a
+# second thread buys no wall time and burns CPU: run one unless the user set
+# a thread variable.  OpenBLAS, MKL and BLIS all fall back to OMP_NUM_THREADS.
+if "numpy" not in sys.modules and not any(v in os.environ for v in _THREAD_VARS):
+    os.environ["OMP_NUM_THREADS"] = "1"
+
+import numpy as np  # noqa: E402  (after the thread choice above)
 
 from .dataset import StimulusResponseDataset, load_dataset, save_dataset
 from .estimators import EstimatorSpec
@@ -245,11 +256,6 @@ def _out_dir(opts: dict) -> Path:
     return path
 
 
-# Thread variables that BLAS and OpenMP builds read; the manifest records the set ones.
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "BLIS_NUM_THREADS", "GOTO_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
-
-
 def _environment() -> dict:
     """What a replay's bits depend on besides the options: LAPACK rounds per build."""
     try:
@@ -413,6 +419,7 @@ def _cmd_rank(opts: dict) -> int:
                 "distance": rep.hypothesis_distances[i],
                 "score": rep.scores[i],
                 "is_target": hset.includes_target_at == i,
+                "degenerate_distances": rep.degenerate_distances[i],
             }
             for i in range(hset.size)
         ],
@@ -420,8 +427,11 @@ def _cmd_rank(opts: dict) -> int:
     )
     _write_manifest(out, opts)
     r_txt = "undefined" if rep.pearson_r is None else f"{rep.pearson_r:.12g}"
+    flagged = sum(rep.degenerate_distances)
+    degenerate = (f"; {flagged} of {hset.size} hypotheses have degenerate distances: equal "
+                  "within rounding, so their S(h) is not meaningful" if flagged else "")
     print(f"pearson_r {r_txt}, target_rank {rep.target_rank}, "
-          f"d_top_rank {rep.d_top_rank:.12g}")
+          f"d_top_rank {rep.d_top_rank:.12g}{degenerate}")
     return 0
 
 

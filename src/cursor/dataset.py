@@ -211,18 +211,21 @@ def window_epoch(ep: EpochTensor, t_start_ms: float = 50.0,
 # Standardization
 
 
-def standardize_fit(X) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column mean and sample std (ddof=1), with a floor for constants."""
+def standardize_fit(X, axis=0) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column mean and sample std (ddof=1), with a floor for constants.
+
+    The rows run along axis; the scorer passes stacks of matrices.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X[:, None]
     if X.size == 0:
         raise ValueError("cannot standardize an empty matrix")
-    means = X.mean(axis=0)
-    if X.shape[0] > 1:
-        stds = X.std(axis=0, ddof=1)
+    means = X.mean(axis=axis)
+    if X.shape[axis] > 1:
+        stds = X.std(axis=axis, ddof=1)
     else:
-        stds = np.zeros(X.shape[1])
+        stds = np.zeros_like(means)
     stds = np.where(stds < STD_FLOOR, STD_FLOOR, stds)
     return means, stds
 

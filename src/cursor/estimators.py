@@ -10,8 +10,8 @@ prepares each fold once.  Where the Gram matrix C of the fold's standardized
 centered rows Xs is well conditioned, the filter amounts to solving
 (C + lambda I) w = Xs^T yc, with lambda = 0 for OLS, and the scorer keeps
 C + lambda I and solves it for every batch of hypotheses.  Otherwise it
-keeps an SVD of the standardized rows, and solve_centered applies the filter
-per hypothesis.
+keeps an SVD of the standardized rows; those SVDs form one stack, and one
+solve_centered call applies the filter to every such fold and hypothesis.
 """
 
 from __future__ import annotations
@@ -60,14 +60,15 @@ class CvConfig:
 
 
 def spectral_filter(kind: str, lam: float, s: np.ndarray, size: int) -> np.ndarray:
-    """Gain per singular value s (descending) of a centered design.
+    """Gain per singular value s (descending along the last axis) of a
+    centered design, or of each design in a stack.
 
-    OLS inverts every s above eps * size * s[0], where size is the larger
+    OLS inverts every s above eps * size * s[..., 0], where size is the larger
     dimension of the design, and drops the rest; ridge gives s/(s^2 + lam).
     """
     scale = np.zeros_like(s)
     if kind == "ols":
-        cutoff = np.finfo(np.float64).eps * size * (s[0] if s.size else 0.0)
+        cutoff = np.finfo(np.float64).eps * size * s[..., :1]
         keep = s > cutoff
         scale[keep] = 1.0 / s[keep]
     else:
@@ -82,11 +83,14 @@ def solve_centered(kind: str, lam: float, u: np.ndarray, s: np.ndarray,
     """Weights vt.T @ diag(spectral_filter(s)) @ u.T @ yc from the thin SVD
     u @ diag(s) @ vt of a centered design matrix and centered targets yc.
 
-    The scorer calls this on folds it factorizes by SVD; on Gram-path folds
-    it solves the filter's equivalent system (C + lambda I) w = Xs^T yc.
+    u, s and vt may be stacks of SVDs and yc a stack of target vectors that
+    broadcasts against them; each product is a matrix-vector one.  The
+    scorer calls this on its SVD cells; on Gram cells it solves the filter's
+    equivalent system (C + lambda I) w = Xs^T yc.
     """
-    uy = u.T @ yc
-    return vt.T @ (uy * spectral_filter(kind, lam, s, max(u.shape[0], vt.shape[1])))
+    uy = (u.swapaxes(-1, -2) @ yc[..., None])[..., 0]
+    uy *= spectral_filter(kind, lam, s, max(u.shape[-2], vt.shape[-1]))
+    return (vt.swapaxes(-1, -2) @ uy[..., None])[..., 0]
 
 
 def cv_splits(cv: CvConfig, n: int) -> list[tuple[np.ndarray, np.ndarray]]:

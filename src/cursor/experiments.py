@@ -232,10 +232,15 @@ class ExperimentPlan:
 
     def __post_init__(self):
         # Imported here, not at the top: it adds about 0.1 s to every process
-        # start, and only plans need it.
-        import jsonschema
+        # start, and only plans need it.  jsonschema.validate would also check
+        # PLAN_SCHEMA against its metaschema on every call, nearly all of its
+        # cost; the test suite checks it once instead.
+        from jsonschema.exceptions import best_match
+        from jsonschema.validators import validator_for
 
-        jsonschema.validate(self.raw, PLAN_SCHEMA)
+        error = best_match(validator_for(PLAN_SCHEMA)(PLAN_SCHEMA).iter_errors(self.raw))
+        if error is not None:
+            raise error
         resolved = _merge_defaults(self.raw, DEFAULT_PLAN)
         if "file" in resolved["dataset"] and "generator" in resolved["dataset"]:
             # defaults added a generator next to an explicit file source

@@ -139,6 +139,8 @@ class RankReport:
     d_top_rank: float
     scores: tuple[float, ...]
     hypothesis_distances: tuple[float, ...]
+    # Per hypothesis: its distances agree within rounding, so its S(h) is noise.
+    degenerate_distances: tuple[bool, ...]
 
 
 def rank_report(ds, hset: HypothesisSet, cfg: ScoreConfig) -> RankReport:
@@ -151,7 +153,8 @@ def rank_report(ds, hset: HypothesisSet, cfg: ScoreConfig) -> RankReport:
     if ds.truth is None:
         raise ValueError("rank_report needs a dataset with a hidden target")
     tie_seed = derive_seed(cfg.cv.seed, cfg.perm_seed, hset.seed, "tie")
-    scores = np.array([r.score for r in score_batch(ds, list(hset.hypotheses), cfg)])
+    reports = score_batch(ds, list(hset.hypotheses), cfg)
+    scores = np.array([r.score for r in reports])
     distances = np.array([similarity(ds.truth.target, h) for h in hset.hypotheses])
     r, rank, d_top, _ = metrics_from_scores(scores, distances, hset.includes_target_at, tie_seed)
     return RankReport(
@@ -160,4 +163,5 @@ def rank_report(ds, hset: HypothesisSet, cfg: ScoreConfig) -> RankReport:
         d_top_rank=d_top,
         scores=tuple(float(s) for s in scores),
         hypothesis_distances=tuple(float(d) for d in distances),
+        degenerate_distances=tuple(r.degenerate_distances for r in reports),
     )

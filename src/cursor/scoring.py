@@ -21,9 +21,10 @@ rather than an SVD of its N_train x De rows; no inverse is formed.  A
 branch, which only reorders rows, keeps one inverse permutation of them.  A
 cell whose Gram matrix would lose accuracy (no more training rows than
 columns, a constant column, or an ill-conditioned C_std) takes the SVD of
-its standardized rows instead.  The condition guard is one stacked Cholesky
-of C_std shifted down by GRAM_MIN_EIG_RATIO * ||C_std||_F, which every
-well-conditioned stack passes; only a stack that fails it pays for the
+its standardized rows instead; the SVD cells of a scorer are one stack,
+factorized by one np.linalg.svd call.  The condition guard is one stacked
+Cholesky of C_std shifted down by GRAM_MIN_EIG_RATIO * ||C_std||_F, which
+every well-conditioned stack passes; only a stack that fails it pays for the
 eigenvalues, which then decide cell by cell.  Where C_std passes, the OLS
 filter drops no singular direction, so with Xs = U diag(s) V^T the
 standardized centered training rows and phi the estimator's spectral filter,
@@ -51,10 +52,13 @@ recover_target's, in k=10 PCA coordinates, 0.03 ms.  At De=64 a scorer build
 takes about 4-6 ms and one hypothesis (B=1) 1.1-1.8 ms, most of it the LU
 solves; a ranking scores one hypothesis per scorer, and a solve per call
 costs less than an inverse per build.  SVD cells, which appear only at small
-N or on degenerate responses, loop over hypotheses in the SVD reference's
-own arithmetic, because an ill-conditioned fold amplifies any other
-rounding.  S(h) is defined for finite distances from every stimulus:
-score_distances refuses a row that holds inf or NaN.
+N or on degenerate responses, keep the SVD reference's own arithmetic,
+because an ill-conditioned fold amplifies any other rounding, but score every
+cell and hypothesis at once: the hypotheses are a broadcast stack axis of
+each product, so each stays the reference's matrix-vector product, and
+solve_centered runs once over the stack.  S(h) is defined for finite
+distances from every stimulus: score_distances refuses a row that holds inf
+or NaN.
 """
 
 from __future__ import annotations
@@ -70,7 +74,6 @@ from .dataset import (
     STD_FLOOR,
     StimulusResponseDataset,
     draw_permutation,
-    standardize_apply,
     standardize_fit,
 )
 from .estimators import CvConfig, EstimatorSpec, cv_splits, solve_centered
@@ -165,19 +168,6 @@ def _splits_digest(splits) -> str:
     return acc.hexdigest()[:16]
 
 
-class _SvdFold:
-    """SVD of one fold's standardized training rows, reusable across h."""
-
-    __slots__ = ("u", "s", "vt", "x_val_c")
-
-    def __init__(self, x_train, x_val):
-        scaler = standardize_fit(x_train)
-        xs = standardize_apply(x_train, *scaler)
-        xm = xs.mean(axis=0)
-        self.u, self.s, self.vt = np.linalg.svd(xs - xm, full_matrices=False)
-        self.x_val_c = standardize_apply(x_val, *scaler) - xm
-
-
 def _rms(resid: np.ndarray) -> np.ndarray:
     """Root mean square over the last axis; squares resid in place."""
     np.square(resid, out=resid)
@@ -232,8 +222,11 @@ class HypothesisScorer:
     standardize its training rows, _c holds C_std + lambda I of its
     standardized Gram matrix C_std, which _rmses solves rather than inverts,
     and _x_val_c its validation rows centered on _mu.  An SVD cell keeps
-    placeholder Gram factors, whose results _rmses overwrites, and _svd maps
-    it to its _SvdFold.
+    placeholder Gram factors, whose results _rmses overwrites.  The K SVD
+    cells, listed as (branch, fold) index arrays in _svd_cells, are a stack
+    of their own: _svd_train holds each cell's training row indices, _u, _s
+    and _vt the thin SVD of its standardized centered training rows, and
+    _svd_x_val_c its validation rows in the same scale.
     """
 
     def __init__(self, ds: StimulusResponseDataset, cfg: ScoreConfig):
@@ -301,9 +294,23 @@ class HypothesisScorer:
             x_val -= mu[..., None, :]
             self._mu, self._sigma, self._x_val_c, self._c = mu, sigma, x_val, c
         self._paths = np.where(ok, "gram", "svd")
-        self._svd = {(p, f): _SvdFold(ds.responses[orders[p, self.splits[f][0]]],
-                                      ds.responses[rows_val[p, f]])
-                     for p, f in zip(*np.nonzero(~ok))}
+        ps, fs = self._svd_cells = np.nonzero(~ok)
+        if ps.size:
+            # The K SVD cells' training rows (K x n_train x De), standardized
+            # and centered per cell, then one stacked SVD.
+            self._svd_train = np.stack([self.splits[f][0] for f in fs])
+            xs = ds.responses[orders[ps[:, None], self._svd_train]]
+            mean, std = standardize_fit(xs, axis=1)
+            xs -= mean[:, None]
+            xs /= std[:, None]
+            xm = xs.mean(axis=1, keepdims=True)
+            xs -= xm
+            self._u, self._s, self._vt = np.linalg.svd(xs, full_matrices=False)
+            x_val = ds.responses[rows_val[ps, fs]]
+            x_val -= mean[:, None]
+            x_val /= std[:, None]
+            x_val -= xm
+            self._svd_x_val_c = x_val
 
     def _rmses(self, d) -> np.ndarray:
         """Validation RMSEs (branches x folds x hypotheses) of every cell.
@@ -350,26 +357,25 @@ class HypothesisScorer:
             resid = w.swapaxes(2, 3) @ self._x_val_c.swapaxes(2, 3)
             resid += base
             rms = _rms(resid)
-        for (p, f), fold in self._svd.items():
-            # The SVD reference's arithmetic, one hypothesis per solve: an
-            # ill-conditioned fold amplifies any other rounding.  y.T has
-            # contiguous columns, so each column's statistics are bitwise
-            # those of standardize_fit on that hypothesis alone.
-            train, val = self.splits[f]
-            y = d.take(train, axis=1)
-            t_mean, t_std = standardize_fit(y.T)
-            ys = (y - t_mean[:, None]) / t_std[:, None]
-            ym = ys.mean(axis=1, keepdims=True)
+        ps, fs = self._svd_cells
+        if ps.size:
+            # The SVD reference's arithmetic, stacked hypotheses x SVD cells,
+            # since an ill-conditioned fold amplifies any other rounding.
+            # take gives contiguous hypotheses x cells x n_train targets, so
+            # each row's statistics are bitwise those of standardize_fit on
+            # that hypothesis and fold alone, and every product stays a gemv.
+            y = d.take(self._svd_train, axis=1)
+            t_mean, t_std = standardize_fit(y, axis=2)
+            ys = (y - t_mean[..., None]) / t_std[..., None]
+            ym = ys.mean(axis=2, keepdims=True)
             ys -= ym
-            pred = np.stack([
-                fold.x_val_c @ solve_centered(spec.kind, spec.ridge_lambda,
-                                              fold.u, fold.s, fold.vt, yc)
-                for yc in ys])
+            w = solve_centered(spec.kind, spec.ridge_lambda, self._u, self._s, self._vt, ys)
+            pred = (self._svd_x_val_c @ w[..., None])[..., 0]
             pred += ym
-            pred *= t_std[:, None]
-            pred += t_mean[:, None]
-            pred -= d.take(val, axis=1)
-            rms[p, f] = _rms(pred)
+            pred *= t_std[..., None]
+            pred += t_mean[..., None]
+            pred -= d.take(self._val[fs], axis=1)
+            rms[ps, fs] = _rms(pred).T
         return rms
 
     def score_points(self, hypotheses) -> list[ScoreReport]:

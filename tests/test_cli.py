@@ -1,7 +1,7 @@
 """End-to-end tests of the command line interface.
 
 Commands run in-process through main(argv) so exit codes and outputs are
-checked without subprocess overhead.  The thread-count test starts a fresh
+checked without subprocess overhead.  The thread tests start a fresh
 interpreter per setting, because OpenBLAS reads its thread count at load.
 """
 
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from cursor import experiments
-from cursor.cli import COMMANDS, build_parser, main
+from cursor.cli import _THREAD_VARS, COMMANDS, build_parser, main
 from cursor.dataset import load_dataset
 from cursor.experiments import load_plan, plan_hash
 
@@ -132,6 +132,37 @@ def test_manifest_records_the_environment(tmp_path, data_csv, monkeypatch):
     assert (first / "score.json").read_bytes() == (again / "score.json").read_bytes()
 
 
+def _fresh_env(**thread_vars):
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    return {**env, **thread_vars}
+
+
+@pytest.mark.parametrize("thread_vars, recorded", [
+    ({}, {"OMP_NUM_THREADS": "1"}),
+    ({"OPENBLAS_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": "2"}),
+])
+def test_cli_runs_blas_on_one_thread_unless_told(tmp_path, data_csv, thread_vars, recorded):
+    proc = subprocess.run(
+        [sys.executable, "-m", "cursor.cli", "score", "--data", data_csv,
+         "--hypothesis", "0,0,0,0", "--folds", "3", "-o", str(tmp_path)],
+        env=_fresh_env(**thread_vars), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+    assert env["thread_vars"] == recorded
+
+
+def test_import_cursor_leaves_numpy_unloaded():
+    # so that cursor.cli can still choose the BLAS thread count
+    script = ("import sys, cursor\n"
+              "assert 'numpy' not in sys.modules\n"
+              "cursor.score\n"
+              "assert 'numpy' in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_score_requires_hypothesis(tmp_path, data_csv, capsys):
     code = main(["score", "--data", data_csv, "-o", str(tmp_path)])
     assert code == 2
@@ -187,6 +218,21 @@ def test_rank_outputs(tmp_path, data_csv, capsys):
     assert rows[0]["L"] == 6
     assert rows[0]["target_rank"] >= 1
     assert (tmp_path / "rank.csv").exists()
+    assert not any(d["degenerate_distances"] for d in detail)
+
+
+def test_rank_says_when_distances_are_degenerate(tmp_path, data_csv, capsys):
+    # Hypotheses up to 1e154 away: most rows' distances agree within their
+    # rounding, and the ranking metrics of their scores measure noise.
+    code = main(["rank", "--data", data_csv, "--L", "6", "--d-max", "1e154", "--folds", "3",
+                 "-o", str(tmp_path)])
+    assert code == 0
+    detail = [json.loads(line) for line in
+              (tmp_path / "rank_detail.jsonl").read_text().splitlines()]
+    flagged = sum(d["degenerate_distances"] for d in detail)
+    assert 0 < flagged < 6  # the target itself, at distance 0, is never flagged
+    assert not next(d for d in detail if d["is_target"])["degenerate_distances"]
+    assert f"{flagged} of 6 hypotheses have degenerate distances" in capsys.readouterr().out
 
 
 def test_manifest_reexecution_is_bit_identical(tmp_path, data_csv):
@@ -677,15 +723,13 @@ def test_score_is_bitwise_independent_of_blas_threads(tmp_path):
     data = tmp_path / "gen" / "dataset.csv"
     hyp = tmp_path / "h.json"
     hyp.write_text(json.dumps(load_dataset(data).truth.target.coords.tolist()))
-    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
         proc = subprocess.run(
             [sys.executable, "-m", "cursor.cli", "score", "--data", str(data),
              "--hypothesis-file", str(hyp), "--seed", "41", "-o", str(out)],
-            env={**env, "OPENBLAS_NUM_THREADS": threads}, capture_output=True, text=True,
+            env=_fresh_env(OPENBLAS_NUM_THREADS=threads), capture_output=True, text=True,
             timeout=300)
         assert proc.returncode == 0, proc.stderr
         outputs.append((out / "score.json").read_bytes())

@@ -12,6 +12,7 @@ from cursor.dataset import dataset_from_arrays, subsample
 from cursor.estimators import CvConfig, EstimatorSpec
 from cursor.experiments import (
     DEFAULT_PLAN,
+    PLAN_SCHEMA,
     aggregate,
     default_size_ladder,
     plan_from_dict,
@@ -59,6 +60,11 @@ def tiny_plan(**overrides):
     }
     raw.update(overrides)
     return plan_from_dict(raw)
+
+
+def test_plan_schema_is_a_valid_schema():
+    # Plans are validated without checking the schema itself each time.
+    jsonschema.validators.validator_for(PLAN_SCHEMA).check_schema(PLAN_SCHEMA)
 
 
 def test_plan_schema_rejects_bad_input():

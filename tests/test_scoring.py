@@ -499,3 +499,31 @@ def test_gram_build_factors_every_cell_in_one_pass(n_shuffles, shuffle_aligned, 
     # Ten right-hand sides per cell solve as ten single ones do.
     for b in range(len(H)):
         assert batch[:, :, b] == pytest.approx(scorer._rmses(d[b:b + 1])[:, :, 0], rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["ols", "ridge"])
+def test_svd_build_factors_every_cell_in_one_call(kind, monkeypatch):
+    # N < De puts every cell on the SVD path; the build factorizes them with
+    # one stacked SVD and scoring factorizes nothing.
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    ds, _ = tiny_dataset(seed=1, n_traj=3, de=40)
+    cfg = replace(fast_config(seed=1, kind=kind), n_shuffles=2)
+    scorer = HypothesisScorer(ds, cfg)
+    assert _paths(scorer) == {"svd"}
+    n_train = scorer.splits[0][0].shape[0]
+    assert calls == [(3 * cfg.cv.n_folds, n_train, 40)]
+    H = np.random.default_rng(1).standard_normal((4, ds.stimulus_dim))
+    d = np.linalg.norm(ds.stimuli[None] - H[:, None], axis=2)
+    batch = scorer._rmses(d)
+    assert len(calls) == 1
+    # Every cell and hypothesis is a matrix-vector product of its own, so a
+    # batch scores each hypothesis bit for bit as it scores alone.
+    for b in range(len(H)):
+        assert np.array_equal(batch[:, :, b], scorer._rmses(d[b:b + 1])[:, :, 0])
