@@ -1,10 +1,11 @@
 """Batch command-line front end.
 
 Subcommands: generate, score, rank, optimize, ablate, recover, report.
-Every run writes a manifest.json echoing the fully resolved options, and a
-run can be replayed with --config manifest.json (explicit flags still win).
-Results print with 12 significant digits in CSV; binary outputs are
-bit-reproducible from the manifest.
+main resolves the options, makes the output directory, runs the handler,
+writes manifest.json (the fully resolved options) and prints the one line the
+handler returns.  A run replays with --config manifest.json (explicit flags
+still win).  Results print with 12 significant digits in CSV; binary outputs
+are bit-reproducible from the manifest.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.
 """
@@ -31,11 +32,13 @@ if "numpy" not in sys.modules and not any(v in os.environ for v in _THREAD_VARS)
 import numpy as np  # noqa: E402  (after the thread choice above)
 
 from .dataset import StimulusResponseDataset, load_dataset, save_dataset
-from .estimators import EstimatorSpec
+from .estimators import KINDS, EstimatorSpec
+from .latent import SPACINGS
 from .optimize import trace_summary, trace_to_jsonl
 from .pca import save_pca
 from .ranking import build_hypothesis_set, rank_report
 from .scoring import ScoreConfig, report_to_json, score
+from .synth import LINK_KINDS
 from .experiments import (
     ABLATION_METRICS,
     DEFAULT_PLAN,
@@ -44,6 +47,7 @@ from .experiments import (
     draw_dataset,
     load_plan,
     plan_from_dict,
+    rank_metrics,
     recover,
     recover_labels,
     response_model,
@@ -88,21 +92,20 @@ OPTIONS = {
     "noise_sigma": (("--noise-sigma",), _GENERATOR["noise_sigma"], {"type": float}),
     "nuisance_rank": (("--nuisance-rank",), _GENERATOR["nuisance_rank"], {"type": int}),
     "nuisance_gain": (("--nuisance-gain",), _GENERATOR["nuisance_gain"], {"type": float}),
-    "link": (("--link",), _GENERATOR["link"]["kind"], {"choices": ["linear", "saturating"]}),
+    "link": (("--link",), _GENERATOR["link"]["kind"], {"choices": LINK_KINDS}),
     "tau": (("--tau",), _GENERATOR["link"]["tau"], {"type": float}),
     "d_min": (("--d-min",), _GENERATOR["d_min"], {"type": float}),
     # generate's largest distance and the hypothesis-set radius; DEFAULT_PLAN
     # gives both the acquisition radius.
     "d_max": (("--d-max",), _HYPOTHESES["d_max"], {"type": float}),
-    "spacing": (("--spacing",), _GENERATOR["spacing"], {"choices": ["uniform", "logarithmic"]}),
+    "spacing": (("--spacing",), _GENERATOR["spacing"], {"choices": SPACINGS}),
     "name": (("--name",), "dataset", {"help": "output file stem"}),
     "data": (("--data",), None, {"help": "dataset file"}),
     "hypothesis": (("--hypothesis",), None, {"type": _csv_floats,
                                              "help": "comma-separated latent coordinates"}),
     "hypothesis_file": (("--hypothesis-file",), None,
                         {"help": "JSON file holding the coordinates"}),
-    "estimator": (("--estimator",), _ESTIMATOR["kind"],
-                  {"choices": ["ols", "ridge", "dummy_mean"]}),
+    "estimator": (("--estimator",), _ESTIMATOR["kind"], {"choices": KINDS}),
     "ridge_lambda": (("--ridge-lambda",), _ESTIMATOR["ridge_lambda"], {"type": float}),
     "folds": (("--folds",), DEFAULT_PLAN["cv"]["n_folds"], {"type": int}),
     "train_fraction": (("--train-fraction",), DEFAULT_PLAN["cv"]["train_fraction"],
@@ -240,6 +243,10 @@ def _resolve(args: argparse.Namespace) -> dict:
         raise ValueError(f"{mode} does not read {', '.join(refused)}")
     if opts.get("seed", 0) < 0:
         raise ValueError("--seed must be nonnegative")
+    if command == "ablate" and (opts["plan"] is None) == (opts["data"] is None):
+        raise ValueError(f"give one of {_flag('plan')} and {_flag('data')}")
+    if command == "report" and not opts["inputs"]:
+        raise ValueError("report needs at least one run directory")
     return opts
 
 
@@ -247,13 +254,6 @@ def _require(opts: dict, key: str):
     if opts.get(key) is None:
         raise ValueError(f"missing required option {_flag(key)}")
     return opts[key]
-
-
-def _out_dir(opts: dict) -> Path:
-    out = _require(opts, "out")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def _environment() -> dict:
@@ -310,8 +310,7 @@ def _score_config(opts: dict) -> ScoreConfig:
     )
 
 
-def _cmd_generate(opts: dict) -> int:
-    out = _out_dir(opts)
+def _cmd_generate(opts: dict, out: Path) -> str:
     seed = opts["seed"]
     generator = {**opts, "link": {"kind": opts["link"], "tau": opts["tau"]}}
     ds = draw_dataset(
@@ -326,14 +325,11 @@ def _cmd_generate(opts: dict) -> int:
     ext = "bin" if opts["format"] == "bin" else "csv"
     path = out / f"{opts['name']}.{ext}"
     save_dataset(ds, path)
-    _write_manifest(out, opts)
-    print(f"wrote {path} (n={ds.n}, stimulus_dim={ds.stimulus_dim}, "
-          f"response_dim={ds.response_dim}, truth={'yes' if ds.truth else 'no'})")
-    return 0
+    return (f"wrote {path} (n={ds.n}, stimulus_dim={ds.stimulus_dim}, "
+            f"response_dim={ds.response_dim}, truth={'yes' if ds.truth else 'no'})")
 
 
-def _cmd_score(opts: dict) -> int:
-    out = _out_dir(opts)
+def _cmd_score(opts: dict, out: Path) -> str:
     ds = _load_data(opts)
     coords, path = opts["hypothesis"], opts["hypothesis_file"]
     if coords is None and path is not None:
@@ -357,12 +353,10 @@ def _cmd_score(opts: dict) -> int:
         "denominator_floored": rep.denominator_floored,
         "degenerate_distances": rep.degenerate_distances,
     }], out / "score.csv")
-    _write_manifest(out, opts)
     degenerate = ("; degenerate distances: equal within rounding, so S(h) is not "
                   "meaningful" if rep.degenerate_distances else "")
-    print(f"score {rep.score:.12g} (aligned rmse {rep.rmse_aligned:.12g}, "
-          f"shuffled rmse {rep.rmse_shuffled:.12g}{degenerate})")
-    return 0
+    return (f"score {rep.score:.12g} (aligned rmse {rep.rmse_aligned:.12g}, "
+            f"shuffled rmse {rep.rmse_shuffled:.12g}{degenerate})")
 
 
 def _sweep_plan(opts: dict, data: str) -> dict:
@@ -380,17 +374,14 @@ def _sweep_plan(opts: dict, data: str) -> dict:
     }
 
 
-def _cmd_rank(opts: dict) -> int:
-    out = _out_dir(opts)
+def _cmd_rank(opts: dict, out: Path) -> str:
     data = _require(opts, "data")
 
     if opts["sizes"] is not None:
         raw = _sweep_plan(opts, data)
         raw["sizes"] = opts["sizes"]
         run_plan(plan_from_dict(raw), out, kinds=("sweep",))
-        _write_manifest(out, opts)
-        print(f"wrote sweep tables under {out}")
-        return 0
+        return f"wrote sweep tables under {out}"
 
     ds = _load_data(opts)
     if ds.truth is None:
@@ -405,9 +396,7 @@ def _cmd_rank(opts: dict) -> int:
     row = {
         "estimator": opts["estimator"],
         "L": hset.size,
-        "pearson_r": rep.pearson_r,
-        "target_rank": rep.target_rank,
-        "d_top_rank": rep.d_top_rank,
+        **rank_metrics(rep),
     }
     write_table([row], out / "rank.csv")
     write_jsonl([row], out / "rank_rows.jsonl")
@@ -425,18 +414,15 @@ def _cmd_rank(opts: dict) -> int:
         ],
         out / "rank_detail.jsonl",
     )
-    _write_manifest(out, opts)
     r_txt = "undefined" if rep.pearson_r is None else f"{rep.pearson_r:.12g}"
     flagged = sum(rep.degenerate_distances)
     degenerate = (f"; {flagged} of {hset.size} hypotheses have degenerate distances: equal "
                   "within rounding, so their S(h) is not meaningful" if flagged else "")
-    print(f"pearson_r {r_txt}, target_rank {rep.target_rank}, "
-          f"d_top_rank {rep.d_top_rank:.12g}{degenerate}")
-    return 0
+    return (f"pearson_r {r_txt}, target_rank {rep.target_rank}, "
+            f"d_top_rank {rep.d_top_rank:.12g}{degenerate}")
 
 
-def _cmd_optimize(opts: dict) -> int:
-    out = _out_dir(opts)
+def _cmd_optimize(opts: dict, out: Path) -> str:
     ds = _load_data(opts)
     optimization = {**opts, "population_size": opts["population"]}
     zhat, trace, pca_e, pca_z = recover(optimization, ds, _score_config(opts),
@@ -454,19 +440,14 @@ def _cmd_optimize(opts: dict) -> int:
         json.dump(summary, fh, indent=2, sort_keys=True)
     with open(out / "zhat.json", "w", encoding="utf-8") as fh:
         json.dump({"coords": [float(v) for v in zhat.coords]}, fh)
-    _write_manifest(out, opts)
     dist_txt = ""
     if "recovered_distance" in summary:
         dist_txt = f", distance to target {summary['recovered_distance']:.12g}"
-    print(f"best score {trace.best_score:.12g} after {len(trace.evaluations)} "
-          f"evaluations{dist_txt}")
-    return 0
+    return (f"best score {trace.best_score:.12g} after {len(trace.evaluations)} "
+            f"evaluations{dist_txt}")
 
 
-def _cmd_ablate(opts: dict) -> int:
-    if (opts["plan"] is None) == (opts["data"] is None):
-        raise ValueError(f"give one of {_flag('plan')} and {_flag('data')}")
-    out = _out_dir(opts)
+def _cmd_ablate(opts: dict, out: Path) -> str:
     if opts["plan"] is not None:
         plan = load_plan(opts["plan"])
     else:
@@ -476,13 +457,10 @@ def _cmd_ablate(opts: dict) -> int:
         raw["optimization"] = {"budget": opts["budget"], "bounds": opts["bounds"]}
         plan = plan_from_dict(raw)
     run_plan(plan, out, kinds=("ablation",), ablation_mode=opts["mode"])
-    _write_manifest(out, opts)
-    print(f"wrote ablation tables under {out} (plan {plan.hash})")
-    return 0
+    return f"wrote ablation tables under {out} (plan {plan.hash})"
 
 
-def _cmd_recover(opts: dict) -> int:
-    out = _out_dir(opts)
+def _cmd_recover(opts: dict, out: Path) -> str:
     ds = _load_data(opts)
     zhat_path = _require(opts, "zhat")
     with open(zhat_path, "r", encoding="utf-8") as fh:
@@ -504,14 +482,11 @@ def _cmd_recover(opts: dict) -> int:
     write_table(rows, out / "labels.csv")
     with open(out / "label_metrics.json", "w", encoding="utf-8") as fh:
         json.dump(metrics, fh, indent=2, sort_keys=True)
-    _write_manifest(out, opts)
     if metrics is None:
-        print(f"reconstructed {len(rows)} labels (no hidden truth, rmse omitted)")
-    else:
-        pct = metrics["rmse_pct_of_range"]
-        pct_txt = "undefined: zero distance range" if pct is None else f"{pct:.3g}% of range"
-        print(f"reconstructed {len(rows)} labels, rmse {metrics['rmse']:.12g} ({pct_txt})")
-    return 0
+        return f"reconstructed {len(rows)} labels (no hidden truth, rmse omitted)"
+    pct = metrics["rmse_pct_of_range"]
+    pct_txt = "undefined: zero distance range" if pct is None else f"{pct:.3g}% of range"
+    return f"reconstructed {len(rows)} labels, rmse {metrics['rmse']:.12g} ({pct_txt})"
 
 
 def _read_jsonl(path: Path) -> list[dict]:
@@ -524,14 +499,9 @@ def _read_jsonl(path: Path) -> list[dict]:
     return rows
 
 
-def _cmd_report(opts: dict) -> int:
-    inputs = opts["inputs"]
-    if not inputs:
-        raise ValueError("report needs at least one run directory")
-    out = _out_dir(opts)
-
+def _cmd_report(opts: dict, out: Path) -> str:
     rank_rows, detail_rows, sweep_rows, trace_rows, ablation_rows = [], [], [], [], []
-    for item in inputs:
+    for item in opts["inputs"]:
         run = Path(item)
         if not run.is_dir():
             raise FileNotFoundError(f"run directory not found: {run}")
@@ -591,9 +561,7 @@ def _cmd_report(opts: dict) -> int:
             wrote.append("ablation_summary.csv")
     if not wrote:
         raise ValueError("no recognized result files under the given run directories")
-    _write_manifest(out, opts)
-    print(f"wrote {', '.join(wrote)} under {out}")
-    return 0
+    return f"wrote {', '.join(wrote)} under {out}"
 
 
 HANDLERS = {
@@ -620,7 +588,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         opts = _resolve(args)
-        return HANDLERS[opts["command"]](opts)
+        out = Path(_require(opts, "out"))
+        out.mkdir(parents=True, exist_ok=True)
+        line = HANDLERS[opts["command"]](opts, out)
+        _write_manifest(out, opts)
+        print(line)
+        return 0
     except SystemExit as exc:  # argparse usage errors already printed
         code = exc.code
         return code if isinstance(code, int) else 2
@@ -628,8 +601,9 @@ def main(argv=None) -> int:
         # jsonschema is loaded only when a plan is validated, so a plan's
         # ValidationError is looked up only once the module is there.
         schema = sys.modules.get("jsonschema")
-        if isinstance(exc, VALIDATION_ERRORS) or (
-                schema is not None and isinstance(exc, schema.ValidationError)):
+        if schema is not None and isinstance(exc, schema.ValidationError):
+            exc = ValueError(f"plan {exc.json_path}: {exc.message}")
+        if isinstance(exc, VALIDATION_ERRORS):
             print(f"error: {exc}", file=sys.stderr)
             return 2
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)

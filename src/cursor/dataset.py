@@ -34,7 +34,6 @@ __all__ = [
     "draw_permutation",
     "load_dataset",
     "save_dataset",
-    "standardize_apply",
     "standardize_fit",
     "subsample",
     "window_epoch",
@@ -228,15 +227,6 @@ def standardize_fit(X, axis=0) -> tuple[np.ndarray, np.ndarray]:
         stds = np.zeros_like(means)
     stds = np.where(stds < STD_FLOOR, STD_FLOOR, stds)
     return means, stds
-
-
-def standardize_apply(X, means, stds) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    squeeze = X.ndim == 1
-    if squeeze:
-        X = X[:, None]
-    out = (X - means) / stds
-    return out[:, 0] if squeeze else out
 
 
 # ---------------------------------------------------------------------------

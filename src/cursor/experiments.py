@@ -8,6 +8,9 @@ order-independent and a plan file reproduces its tables bit-exactly.
 Replicates follow a targets x variants design: each replicate cell draws its
 own hidden target and acquisition run from the shared generator config, so
 all cells have the same statistical properties but independent noise.
+
+Cells are plain functions bound with functools.partial and run in order by
+_map_jobs; every table row takes its rank metrics from rank_metrics.
 """
 
 from __future__ import annotations
@@ -16,18 +19,19 @@ import csv
 import json
 import hashlib
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import StimulusResponseDataset, ablate_near_target, load_dataset, subsample
-from .estimators import MIN_FOLDS, CvConfig, EstimatorSpec
-from .latent import ACQUISITION_D_MAX, LatentPoint, as_point
+from .estimators import KINDS, MIN_FOLDS, CvConfig, EstimatorSpec
+from .latent import ACQUISITION_D_MAX, SPACINGS, LatentPoint, as_point
 from .optimize import CmaConfig, recover_target
 from .pca import default_latent_k, default_response_k, pca_fit
 from .ranking import RankReport, build_hypothesis_set, rank_report
 from .scoring import DENOM_FLOOR, ScoreConfig
-from .synth import Link, generate_dataset, make_response_model
+from .synth import LINK_KINDS, Link, generate_dataset, make_response_model
 from ._util import derive_rng, derive_seed
 
 __all__ = [
@@ -43,6 +47,7 @@ __all__ = [
     "load_plan",
     "plan_from_dict",
     "plan_hash",
+    "rank_metrics",
     "recover",
     "recover_labels",
     "replicate_dataset",
@@ -84,13 +89,13 @@ PLAN_SCHEMA = {
                             "type": "object",
                             "additionalProperties": False,
                             "properties": {
-                                "kind": {"enum": ["linear", "saturating"]},
+                                "kind": {"enum": list(LINK_KINDS)},
                                 "tau": {"type": "number", "exclusiveMinimum": 0},
                             },
                         },
                         "d_min": {"type": "number", "minimum": 0},
                         "d_max": {"type": "number", "exclusiveMinimum": 0},
-                        "spacing": {"enum": ["uniform", "logarithmic"]},
+                        "spacing": {"enum": list(SPACINGS)},
                     },
                 },
             },
@@ -103,7 +108,7 @@ PLAN_SCHEMA = {
                 "additionalProperties": False,
                 "required": ["kind"],
                 "properties": {
-                    "kind": {"enum": ["ols", "ridge", "dummy_mean"]},
+                    "kind": {"enum": list(KINDS)},
                     "ridge_lambda": {"type": "number", "minimum": 0},
                     "shuffle_aligned": {"type": "boolean"},
                     "label": {"type": "string", "minLength": 1},
@@ -123,11 +128,13 @@ PLAN_SCHEMA = {
             "type": ["array", "null"],
             "items": {"type": "integer", "minimum": 1},
             "minItems": 1,
+            "uniqueItems": True,
         },
         "ablation_thresholds": {
             "type": "array",
             "items": {"type": "number", "minimum": 0},
             "minItems": 1,
+            "uniqueItems": True,
         },
         "optimization": {
             "type": "object",
@@ -411,6 +418,11 @@ def _hypothesis_set(plan: ExperimentPlan, ds: StimulusResponseDataset, hset_seed
 RANK_METRICS = ("pearson_r", "target_rank", "d_top_rank")
 
 
+def rank_metrics(report: RankReport | None) -> dict:
+    """The RANK_METRICS of report, each None when there is no report."""
+    return {m: None if report is None else getattr(report, m) for m in RANK_METRICS}
+
+
 def default_size_ladder(n: int, n_folds: int) -> list[int]:
     fracs = np.geomspace(SIZE_LADDER_RATIO, 1.0, SIZE_LADDER_RUNGS)
     floor = max(n_folds, 2)
@@ -432,9 +444,7 @@ class SweepCell:
             "variant": self.variant,
             "size": self.size,
             "estimator": self.estimator,
-            "pearson_r": self.report.pearson_r,
-            "target_rank": self.report.target_rank,
-            "d_top_rank": self.report.d_top_rank,
+            **rank_metrics(self.report),
         }
 
 
@@ -442,6 +452,18 @@ def _map_jobs(jobs):
     # A named function, not an inline loop: perfbench/tracer.py wraps this
     # name to time each cell (experiments.cells, experiments.cell_s_p50).
     return [job() for job in jobs]
+
+
+def _sweep_cell(plan: ExperimentPlan, ds: StimulusResponseDataset, t: int, v: int,
+                size: int, key: str, spec: EstimatorSpec, shuffled: bool) -> SweepCell:
+    """One estimator's ranking of replicate (t, v) at one size."""
+    seeds = replicate_seeds(plan, t, v, key)
+    if size < ds.n:
+        ds = subsample(ds, size, derive_seed(plan.master_seed, "subsample", t, v, size))
+    hset = _hypothesis_set(plan, ds, seeds["hypothesis_set"])
+    cfg = score_config(plan.raw, spec, shuffled, seeds["cv"], seeds["perm"])
+    return SweepCell(target=t, variant=v, size=size, estimator=key,
+                     report=rank_report(ds, hset, cfg))
 
 
 def run_size_sweep(plan: ExperimentPlan) -> list[SweepCell]:
@@ -454,20 +476,7 @@ def run_size_sweep(plan: ExperimentPlan) -> list[SweepCell]:
     datasets = _replicate_datasets(plan)
     sizes = plan.raw["sizes"]
     jobs = []
-
-    def make_job(t, v, size, key, spec, shuffled):
-        def job():
-            ds = datasets[(t, v)]
-            seeds = replicate_seeds(plan, t, v, key)
-            if size < ds.n:
-                ds = subsample(ds, size, derive_seed(plan.master_seed, "subsample", t, v, size))
-            hset = _hypothesis_set(plan, ds, seeds["hypothesis_set"])
-            cfg = score_config(plan.raw, spec, shuffled, seeds["cv"], seeds["perm"])
-            return SweepCell(target=t, variant=v, size=size, estimator=key,
-                             report=rank_report(ds, hset, cfg))
-        return job
-
-    # Jobs run only after every replicate's sizes are checked.
+    # Cells run only after every replicate's sizes are checked.
     for (t, v), ds in datasets.items():
         cell_sizes = sizes if sizes is not None else default_size_ladder(ds.n, n_folds)
         bad = [s for s in cell_sizes if s > ds.n]
@@ -478,7 +487,7 @@ def run_size_sweep(plan: ExperimentPlan) -> list[SweepCell]:
             raise ValueError(f"sizes {small} are below n_folds={n_folds}")
         for size in cell_sizes:
             for key, spec, shuffled in plan.estimator_entries():
-                jobs.append(make_job(t, v, size, key, spec, shuffled))
+                jobs.append(partial(_sweep_cell, plan, ds, t, v, size, key, spec, shuffled))
     return _map_jobs(jobs)
 
 
@@ -505,7 +514,6 @@ class AblationCell:
     evaluations: int | None = None
 
     def row(self) -> dict:
-        rep = self.report
         return {
             "target": self.target,
             "variant": self.variant,
@@ -515,9 +523,7 @@ class AblationCell:
             "estimator": self.estimator,
             "mode": self.mode,
             "status": self.status,
-            "pearson_r": None if rep is None else rep.pearson_r,
-            "target_rank": None if rep is None else rep.target_rank,
-            "d_top_rank": None if rep is None else rep.d_top_rank,
+            **rank_metrics(self.report),
             "recovered_distance": self.recovered_distance,
             "best_score": self.best_score,
             "evaluations": self.evaluations,
@@ -551,6 +557,35 @@ def recover(optimization: dict, ds: StimulusResponseDataset, cfg: ScoreConfig, c
     return zhat, trace, pca_e, pca_z
 
 
+def _ablation_cells(plan: ExperimentPlan, mode: str, full: StimulusResponseDataset,
+                    t: int, v: int, thr: float, key: str, spec: EstimatorSpec,
+                    shuffled: bool) -> list[AblationCell]:
+    """The ablated and the control cell of replicate (t, v) at one threshold."""
+    cell = partial(AblationCell, target=t, variant=v, threshold=thr, estimator=key, mode=mode)
+    seeds = replicate_seeds(plan, t, v, key)
+    try:
+        ablated = ablate_near_target(full, thr)
+    except ValueError:
+        return [cell(condition=cond, size=0, status="skipped") for cond in ("ablated", "control")]
+    control = subsample(
+        full, ablated.n,
+        derive_seed(plan.master_seed, "ablation-control", t, v, f"{thr:.6g}"),
+    )
+    cfg = score_config(plan.raw, spec, shuffled, seeds["cv"], seeds["perm"])
+    cells = []
+    for cond, ds in (("ablated", ablated), ("control", control)):
+        if mode == "ranking":
+            hset = _hypothesis_set(plan, ds, seeds["hypothesis_set"])
+            result = {"report": rank_report(ds, hset, cfg)}
+        else:
+            zhat, trace, _, _ = recover(plan.raw["optimization"], ds, cfg, seeds["cma"])
+            dist = float(np.linalg.norm(zhat.coords - full.truth.target.coords))
+            result = {"recovered_distance": dist, "best_score": trace.best_score,
+                      "evaluations": len(trace.evaluations)}
+        cells.append(cell(condition=cond, size=ds.n, status="ok", **result))
+    return cells
+
+
 def run_ablation(plan: ExperimentPlan, mode: str = "ranking") -> list[AblationCell]:
     """Paired near-target-ablation vs size-matched-control table.
 
@@ -566,49 +601,10 @@ def run_ablation(plan: ExperimentPlan, mode: str = "ranking") -> list[AblationCe
     if any(ds.truth is None for ds in datasets.values()):
         raise ValueError("ablation requires a dataset with hidden truth")
 
-    jobs = []
-
-    def make_job(t, v, thr, key, spec, shuffled):
-        def job():
-            full = datasets[(t, v)]
-            seeds = replicate_seeds(plan, t, v, key)
-            try:
-                ablated = ablate_near_target(full, thr)
-            except ValueError:
-                return [AblationCell(target=t, variant=v, threshold=thr, condition=cond,
-                                     size=0, estimator=key, mode=mode, status="skipped")
-                        for cond in ("ablated", "control")]
-            control = subsample(
-                full, ablated.n,
-                derive_seed(plan.master_seed, "ablation-control", t, v, f"{thr:.6g}"),
-            )
-            cfg = score_config(plan.raw, spec, shuffled, seeds["cv"], seeds["perm"])
-            cells = []
-            for cond, ds in (("ablated", ablated), ("control", control)):
-                if mode == "ranking":
-                    hset = _hypothesis_set(plan, ds, seeds["hypothesis_set"])
-                    cells.append(AblationCell(
-                        target=t, variant=v, threshold=thr, condition=cond,
-                        size=ds.n, estimator=key, mode=mode, status="ok",
-                        report=rank_report(ds, hset, cfg),
-                    ))
-                else:
-                    zhat, trace, _, _ = recover(plan.raw["optimization"], ds, cfg, seeds["cma"])
-                    dist = float(np.linalg.norm(zhat.coords - full.truth.target.coords))
-                    cells.append(AblationCell(
-                        target=t, variant=v, threshold=thr, condition=cond,
-                        size=ds.n, estimator=key, mode=mode, status="ok",
-                        recovered_distance=dist,
-                        best_score=trace.best_score,
-                        evaluations=len(trace.evaluations),
-                    ))
-            return cells
-        return job
-
-    for t, v in datasets:
-        for thr in plan.raw["ablation_thresholds"]:
-            for key, spec, shuffled in plan.estimator_entries():
-                jobs.append(make_job(t, v, float(thr), key, spec, shuffled))
+    jobs = [partial(_ablation_cells, plan, mode, full, t, v, float(thr), key, spec, shuffled)
+            for (t, v), full in datasets.items()
+            for thr in plan.raw["ablation_thresholds"]
+            for key, spec, shuffled in plan.estimator_entries()]
     out = []
     for pair in _map_jobs(jobs):
         out.extend(pair)

@@ -29,6 +29,9 @@ ACQUISITION_D_MAX = 46.16
 # Smallest nonzero distance used when log-spacing a ladder that starts at 0.
 LOG_DISTANCE_FLOOR = 1.0
 
+# The distance ladders trajectory_distances draws, and a plan and the CLI accept.
+SPACINGS = ("uniform", "logarithmic")
+
 
 @dataclass(frozen=True, eq=False)
 class LatentPoint:
@@ -93,10 +96,10 @@ def trajectory_distances(n_points: int, d_min: float, d_max: float, spacing: str
         raise ValueError(f"need 0 <= d_min <= d_max, got [{lo}, {hi}]")
     if hi > ACQUISITION_D_MAX:
         raise ValueError(f"d_max {hi} exceeds {ACQUISITION_D_MAX}")
+    if spacing not in SPACINGS:
+        raise ValueError(f"unknown spacing {spacing!r}")
     if spacing == "uniform":
         return np.linspace(lo, hi, n)
-    if spacing != "logarithmic":
-        raise ValueError(f"unknown spacing {spacing!r}")
     if lo > 0:
         return np.geomspace(lo, hi, n)
     # Log of zero is undefined: pin the first sample at 0 and log-space the

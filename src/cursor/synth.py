@@ -29,6 +29,9 @@ __all__ = [
     "simulate_response",
 ]
 
+# The distance-to-amplitude links a Link, a plan and the CLI accept.
+LINK_KINDS = ("linear", "saturating")
+
 
 @dataclass(frozen=True)
 class Link:
@@ -38,7 +41,7 @@ class Link:
     tau: float = 10.0
 
     def __post_init__(self):
-        if self.kind not in ("linear", "saturating"):
+        if self.kind not in LINK_KINDS:
             raise ValueError(f"unknown link kind {self.kind!r}")
         if self.kind == "saturating" and self.tau <= 0:
             raise ValueError("saturating link needs tau > 0")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cursor.dataset import standardize_apply, standardize_fit
+from cursor.dataset import standardize_fit
 from cursor.estimators import CvConfig, EstimatorSpec, cv_splits
 
 
@@ -32,6 +32,11 @@ class FittedEstimator:
     intercept: float  # training mean of the standardized targets
     input_scaler: tuple[np.ndarray, np.ndarray]  # (means, stds)
     target_scaler: tuple[float, float]  # (mean, std)
+
+
+def standardize(X, means, stds) -> np.ndarray:
+    """X scaled column by column with a standardize_fit result."""
+    return (np.asarray(X, dtype=np.float64) - means) / stds
 
 
 def _target_scaler(y: np.ndarray) -> tuple[float, float]:
@@ -72,7 +77,7 @@ def fit(spec: EstimatorSpec, X, y) -> FittedEstimator:
     if spec.kind == "dummy_mean":
         return FittedEstimator(spec, np.zeros(0), np.zeros(0), ym, in_scaler, t_scaler)
 
-    Xs = standardize_apply(X, *in_scaler)
+    Xs = standardize(X, *in_scaler)
     xm = Xs.mean(axis=0)
     u, s, vt = np.linalg.svd(Xs - xm, full_matrices=False)
     w = _solve(spec.kind, spec.ridge_lambda, u, s, vt, ys - ym)
@@ -90,7 +95,7 @@ def predict(est: FittedEstimator, X) -> np.ndarray:
             raise ValueError(
                 f"feature count {X.shape[1]} does not match fit ({est.weights.shape[0]})"
             )
-        xc = standardize_apply(X, *est.input_scaler) - est.center
+        xc = standardize(X, *est.input_scaler) - est.center
         y_std = xc @ est.weights + est.intercept
     t_mean, t_std = est.target_scaler
     return y_std * t_std + t_mean

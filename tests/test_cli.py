@@ -324,6 +324,30 @@ def test_rank_sizes_runs_sweep(tmp_path, data_csv):
     assert sorted({r["size"] for r in rows}) == [10, 12]
 
 
+def test_table_headers(tmp_path, data_csv):
+    # write_table orders columns as the row keys were inserted; these pin that order
+    rank_metrics = ["pearson_r", "target_rank", "d_top_rank"]
+    summary = [f"{m}_{stat}" for m in rank_metrics for stat in ("mean", "std")]
+    stamp = ["plan_hash", "master_seed"]
+    expected = {
+        "rank/rank.csv": ["estimator", "L", *rank_metrics],
+        "sweep/sweep.csv": [*stamp, "target", "variant", "size", "estimator", *rank_metrics],
+        "sweep/sweep_summary.csv": [*stamp, "size", "estimator", "n", *summary],
+        "ablate/ablation.csv": [*stamp, "target", "variant", "threshold", "condition", "size",
+                                "estimator", "mode", "status", *rank_metrics,
+                                "recovered_distance", "best_score", "evaluations"],
+        "ablate/ablation_summary.csv": [*stamp, "threshold", "condition", "estimator", "n",
+                                        *summary],
+    }
+    assert rank_run(data_csv, tmp_path / "rank") == 0
+    assert rank_run(data_csv, tmp_path / "sweep", ("--sizes", "12")) == 0
+    assert main(["ablate", "--data", data_csv, *RANK_ARGS, "--thresholds", "0",
+                 "-o", str(tmp_path / "ablate")]) == 0
+    for name, columns in expected.items():
+        header = (tmp_path / name).read_text().splitlines()[0]
+        assert header == ",".join(columns), name
+
+
 @pytest.mark.parametrize("command", [
     ["rank", "--sizes", "10,12"],
     ["ablate", "--thresholds", "0"],
@@ -500,12 +524,19 @@ def test_ablate_shuffle_aligned_reaches_the_plan(tmp_path, data_csv):
     assert manifest["options"]["shuffle_aligned"] is True
 
 
-def test_ablate_rejects_plan_and_data(tmp_path, data_csv, capsys):
+@pytest.mark.parametrize("argv,needle", [
+    (["ablate", "--plan", "{plan}", "--data", "{data}"], "give one of --plan and --data"),
+    (["ablate"], "give one of --plan and --data"),
+    (["report"], "report needs at least one run directory"),
+], ids=["ablate-plan-and-data", "ablate-neither", "report-no-inputs"])
+def test_mode_refusals_make_no_directory(tmp_path, data_csv, capsys, argv, needle):
+    # refused while the options are resolved, before the output directory exists
     plan = tmp_path / "plan.json"
     plan.write_text("{}")
-    assert main(["ablate", "--plan", str(plan), "--data", data_csv,
-                 "-o", str(tmp_path / "out")]) == 2
-    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([a.format(plan=plan, data=data_csv) for a in argv] + ["-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {needle}\n"
+    assert not out.exists()
 
 
 def test_ablate_duplicate_labels_fail_before_plan_json(tmp_path, capsys):
@@ -551,13 +582,20 @@ def test_ablate_duplicate_labels_fail_before_plan_json(tmp_path, capsys):
      "distance row 0 is not finite"),
     (["score", "--data", "{data}", "--hypothesis", "1e200,1e200,1e200,1e200", "--folds", "3"],
      "distance row 0 is not finite"),
+    (["rank", "--data", "{data}", *RANK_ARGS, "--sizes", "6", "--replicates", "0"],
+     "error: plan $.replicates: 0 is less than the minimum of 1"),
+    (["rank", "--data", "{data}", *RANK_ARGS, "--sizes", "12,12"],
+     "error: plan $.sizes: [12, 12] has non-unique elements"),
+    (["ablate", "--data", "{data}", *RANK_ARGS, "--thresholds", "2,2.0"],
+     "error: plan $.ablation_thresholds: [2.0, 2.0] has non-unique elements"),
 ], ids=["ablate-plan-L", "ablate-plan-many", "ablate-plan-thresholds",
         "rank-replicates-without-sizes", "score-hypothesis-and-file", "rank-format",
         "recover-seed", "rank-sizes-above-n", "score-file-without-coords",
         "optimize-zero-response-components", "optimize-zero-latent-components",
         "score-ridge-lambda-nan", "ablate-threshold-nan", "optimize-sigma0-inf",
         "rank-d-max-nan", "rank-d-max-inf", "sweep-d-max-nan", "rank-d-max-huge",
-        "sweep-d-max-huge", "ablate-d-max-huge", "score-hypothesis-huge"])
+        "sweep-d-max-huge", "ablate-d-max-huge", "score-hypothesis-huge",
+        "sweep-zero-replicates", "sweep-repeated-size", "ablate-repeated-threshold"])
 def test_refused_options_write_nothing(tmp_path, data_csv, capsys, argv, needle):
     # a flag the chosen mode would ignore, a value it cannot use (NaN and inf
     # included), a sweep size above N, or a hypothesis so far away that its
@@ -572,13 +610,18 @@ def test_refused_options_write_nothing(tmp_path, data_csv, capsys, argv, needle)
     out = tmp_path / "out"
     names = {"plan": plan, "data": data_csv, "h": hyp}
     assert main([a.format(**names) for a in argv] + ["-o", str(out)]) == 2
-    assert needle.format(**names) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert needle.format(**names) in err
+    # one error line; argparse prints its usage line before its own
+    assert err.count("\n") == (2 if err.startswith("usage: ") else 1), err
     assert not any((out / name).exists() for name in ("manifest.json", "plan.json", "score.json"))
 
 
 @pytest.mark.parametrize("command", list(COMMANDS))
-def test_manifest_options_are_the_table_options(tmp_path, data_csv, optimize_dir, command):
-    # each command parses, resolves and records exactly the options it reads
+def test_manifest_options_are_the_table_options(tmp_path, data_csv, optimize_dir, command,
+                                                capsys):
+    # each command parses, resolves and records exactly the options it reads,
+    # and prints one line on stdout and nothing on stderr
     runs = {
         "generate": [*GEN_ARGS],
         "score": ["score", "--data", data_csv, "--hypothesis", "0,0,0,0", "--folds", "3"],
@@ -588,7 +631,11 @@ def test_manifest_options_are_the_table_options(tmp_path, data_csv, optimize_dir
         "recover": ["recover", "--data", data_csv, "--zhat", str(optimize_dir / "zhat.json")],
         "report": ["report", str(optimize_dir)],
     }
+    capsys.readouterr()
     assert main(runs[command] + ["-o", str(tmp_path)]) == 0
+    printed = capsys.readouterr()
+    assert printed.out.count("\n") == 1 and printed.out.endswith("\n"), printed.out
+    assert printed.err == ""
     dests = set(COMMANDS[command][1])
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["subcommand"] == command

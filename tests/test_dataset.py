@@ -22,7 +22,6 @@ from cursor.dataset import (
     draw_permutation,
     load_dataset,
     save_dataset,
-    standardize_apply,
     standardize_fit,
     subsample,
     window_epoch,
@@ -216,26 +215,21 @@ def test_standardize_fit_oracle():
     # sample std with ddof=1; constant column gets the floor
     assert stds[0] == pytest.approx(2.0)
     assert stds[1] == pytest.approx(1e-12)
-    Z = standardize_apply(X, means, stds)
-    assert np.allclose(Z[:, 0], [-1.0, 0.0, 1.0])
-    assert np.allclose(Z[:, 1], 0.0)
 
 
 def test_standardize_round_trip_properties():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((40, 6)) * 3.0 + 1.0
     means, stds = standardize_fit(X)
-    Z = standardize_apply(X, means, stds)
+    Z = (X - means) / stds
     assert np.allclose(Z.mean(axis=0), 0.0, atol=1e-12)
     assert np.allclose(Z.std(axis=0, ddof=1), 1.0, atol=1e-12)
 
 
-def test_standardize_vector_squeeze():
-    y = np.array([2.0, 4.0, 6.0])
-    means, stds = standardize_fit(y)
-    z = standardize_apply(y, means, stds)
-    assert z.shape == (3,)
-    assert np.allclose(z, [-1.0, 0.0, 1.0])
+def test_standardize_fit_vector_is_one_column():
+    means, stds = standardize_fit(np.array([2.0, 4.0, 6.0]))
+    assert means.shape == stds.shape == (1,)
+    assert means[0] == pytest.approx(4.0) and stds[0] == pytest.approx(2.0)
 
 
 # ---------------------------------------------------------------------------

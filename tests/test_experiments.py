@@ -83,6 +83,24 @@ def test_plan_schema_rejects_bad_input():
         plan_from_dict({"dataset": {}})
 
 
+@pytest.mark.parametrize("raw,message", [
+    ({"estimators": [{"kind": "newton"}]},
+     "'newton' is not one of ['ols', 'ridge', 'dummy_mean']"),
+    ({"dataset": {"generator": {"link": {"kind": "cubic"}}}},
+     "'cubic' is not one of ['linear', 'saturating']"),
+    ({"dataset": {"generator": {"spacing": "random"}}},
+     "'random' is not one of ['uniform', 'logarithmic']"),
+    ({"sizes": [12, 12]}, "[12, 12] has non-unique elements"),
+    ({"ablation_thresholds": [2, 2.0]}, "[2, 2.0] has non-unique elements"),
+], ids=["estimator-kind", "link-kind", "spacing", "repeated-size", "repeated-threshold"])
+def test_plan_schema_refusal_messages(raw, message):
+    # each domain is declared once, in the module that reads it; the schema
+    # names the same values, and a repeated size or threshold is no replicate
+    with pytest.raises(jsonschema.ValidationError) as err:
+        plan_from_dict(raw)
+    assert err.value.message == message
+
+
 def test_defaults_fill_missing_sections():
     plan = plan_from_dict({})
     assert plan.raw == DEFAULT_PLAN

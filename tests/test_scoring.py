@@ -10,7 +10,7 @@ from cursor._util import derive_seed
 from cursor.dataset import StimulusResponseDataset, draw_permutation, subsample
 from cursor.estimators import CvConfig, EstimatorSpec, cv_splits
 from cursor.reference import reference_dataset, reference_score_config
-from cursor.dataset import standardize_apply, standardize_fit
+from cursor.dataset import standardize_fit
 from cursor import scoring
 from cursor.scoring import (
     DENOM_FLOOR,
@@ -26,7 +26,7 @@ from cursor.scoring import (
 )
 
 from conftest import fast_config, tiny_dataset
-from svd_reference import cv_rmse
+from svd_reference import cv_rmse, standardize
 
 
 def test_config_validation():
@@ -459,7 +459,7 @@ def test_scorer_fold_paths_follow_the_eigenvalue_rule():
     for order, paths in zip(_branch_orders(cfg, ds.n), scorer._paths):
         for (train, _), path in zip(scorer.splits, paths):
             x = ds.responses[order[train]]
-            xs = standardize_apply(x, *standardize_fit(x))
+            xs = standardize(x, *standardize_fit(x))
             lam = np.linalg.eigvalsh(np.corrcoef(xs, rowvar=False))
             assert path == ("gram" if lam[0] > GRAM_MIN_EIG_RATIO * lam[-1] else "svd")
     H = np.stack([ds.stimuli[0], np.zeros(3), np.full(3, 5.0)])
