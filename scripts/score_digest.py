@@ -5,18 +5,27 @@ ols, ridge and dummy; 1-3 shuffles; the aligned branch kept or shuffled; Gram,
 SVD and mixed fold stacks; reference subsamples; and reference trials 0 and 1.
 
     PYTHONPATH=src python scripts/score_digest.py [--save FILE] [--against FILE]
+                                                  [--save-matrix]
 
 A change that only rounds differently moves the digest, so --save writes the
-hashed values (every per-fold RMSE and the trial rows) to a JSON file, and
---against compares this tree's values with such a file.  It prints the largest
-relative difference of the floats and exits 1 when that exceeds 1e-12 or when
-anything else (a rank, a flag, the number of values) differs.
+hashed values (each report's per-fold RMSEs, score and flags, and the trial
+rows) to a JSON file, and --against compares this tree's values with such a
+file.  It prints the largest relative difference of the floats and exits 1
+when that exceeds 1e-12 or when anything else (a rank, a flag, the number of
+values) differs.
+
+score_matrix.json, beside this script, holds the matrix's values without the
+trial rows (the reference calibration covers those), and a tier-1 test
+compares this tree's values with it the same way.  A change that moves scores
+on purpose rewrites it with --save-matrix.
 """
 
 import argparse
 import hashlib
 import json
+import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -25,9 +34,11 @@ from cursor.dataset import subsample
 from cursor.reference import reference_dataset, run_trial
 
 TOLERANCE = 1e-12
+MATRIX_FILE = Path(__file__).with_name("score_matrix.json")
 
 
 def datasets():
+    """(name, dataset) of each dataset in the matrix."""
     rng = np.random.default_rng(0)
     for case in ("plain", "n_below_de", "constant", "near_duplicate"):
         n, de = (30, 40) if case == "n_below_de" else (200, 6)
@@ -36,23 +47,22 @@ def datasets():
             x[:, 2] = 1.5
         elif case == "near_duplicate":
             x[:, -1] = x[:, 0] + 1e-9 * rng.standard_normal(n)
-        yield dataset_from_arrays(rng.standard_normal((n, 3)), x)
+        yield case, dataset_from_arrays(rng.standard_normal((n, 3)), x)
     # Two columns at eigenvalue ratio 1e-3: some folds take the Gram path, some the SVD.
     z = rng.standard_normal((400, 2))
     z = np.linalg.qr(z - z.mean(axis=0))[0]
     r = (1 - 1e-3) / (1 + 1e-3)
-    yield dataset_from_arrays(rng.standard_normal((400, 3)),
-                              np.column_stack([z[:, 0], r * z[:, 0] + np.sqrt(1 - r * r) * z[:, 1]]))
+    yield "gram_and_svd", dataset_from_arrays(
+        rng.standard_normal((400, 3)),
+        np.column_stack([z[:, 0], r * z[:, 0] + np.sqrt(1 - r * r) * z[:, 1]]))
     full, _ = reference_dataset(0)
     for n in (40, 160):
-        yield subsample(full, n, seed=0)
+        yield f"reference_{n}", subsample(full, n, seed=0)
 
 
-def collect():
-    """(digest, per-fold RMSEs, trial rows) of this tree."""
-    acc = hashlib.sha256()
-    rmses, rows = [], []
-    for ds in datasets():
+def matrix():
+    """(case, ScoreReport) of each scorer run in the matrix, in a fixed order."""
+    for name, ds in datasets():
         rng = np.random.default_rng(ds.n)
         h = rng.standard_normal((3, ds.stimulus_dim))
         h[1] = ds.stimuli[ds.n // 2]
@@ -63,34 +73,61 @@ def collect():
                     cfg = ScoreConfig(EstimatorSpec(kind, 4.0 if kind == "ridge" else 0.0),
                                       CvConfig(n_folds=5, seed=1), 2, n_shuffles, shuffle_aligned)
                     scorer = HypothesisScorer(ds, cfg)
-                    for rep in scorer.score_points(h) + [scorer.score_point(h[0])]:
-                        values = rep.per_fold_aligned + rep.per_fold_shuffled
-                        acc.update(np.array(values).tobytes())
-                        rmses.extend(values)
-    for trial in (0, 1):
-        row = run_trial(trial)[0]
+                    case = f"{name} {kind} shuffles={n_shuffles} shuffle_aligned={shuffle_aligned}"
+                    # hypotheses 0-2 in one batch, then hypothesis 0 alone
+                    reports = scorer.score_points(h) + [scorer.score_point(h[0])]
+                    for label, rep in zip(("h0", "h1", "h2", "h0 alone"), reports):
+                        yield f"{case} {label}", rep
+
+
+def matrix_values() -> list[dict]:
+    """One record per report of the matrix: per-fold RMSEs, score and flags."""
+    return [{"case": case,
+             "per_fold_aligned": list(rep.per_fold_aligned),
+             "per_fold_shuffled": list(rep.per_fold_shuffled),
+             "score": rep.score,
+             "denominator_floored": rep.denominator_floored,
+             "degenerate_distances": rep.degenerate_distances}
+            for case, rep in matrix()]
+
+
+def collect():
+    """(digest, matrix records, trial rows) of this tree."""
+    acc = hashlib.sha256()
+    records = matrix_values()
+    for record in records:
+        acc.update(np.array(record["per_fold_aligned"] + record["per_fold_shuffled"]).tobytes())
+    rows = [run_trial(trial)[0] for trial in (0, 1)]
+    for row in rows:
         acc.update(json.dumps(row, sort_keys=True).encode())
-        rows.append(row)
-    return acc.hexdigest(), rmses, rows
+    return acc.hexdigest(), records, rows
 
 
-def largest_difference(saved: dict, rmses: list, rows: list) -> float:
-    """Largest relative difference of the floats; inf when anything else differs."""
-    if len(saved["rmses"]) != len(rmses) or len(saved["rows"]) != len(rows):
-        return np.inf
-    pairs = list(zip(saved["rmses"], rmses))
-    for old, new in zip(saved["rows"], rows):
+def largest_difference(old, new) -> float:
+    """Largest relative difference of the floats in two JSON values.
+
+    inf when anything else differs: a key, a length, a string, an int, a flag.
+    """
+    if isinstance(old, float) and isinstance(new, float):
+        if old == new or (math.isnan(old) and math.isnan(new)):
+            return 0.0
+        rel = abs(old - new) / max(abs(old), abs(new))
+        return rel if math.isfinite(rel) else math.inf
+    if isinstance(old, dict) and isinstance(new, dict):
         if old.keys() != new.keys():
-            return np.inf
-        for key, value in old.items():
-            if type(value) is float and type(new[key]) is float:
-                pairs.append((value, new[key]))
-            elif value != new[key]:
-                return np.inf
-    a, b = np.array(pairs).T
-    scale = np.maximum(np.abs(a), np.abs(b))
-    rel = np.divide(np.abs(a - b), scale, out=np.zeros_like(a), where=scale > 0)
-    return float(rel.max())
+            return math.inf
+        return max((largest_difference(old[k], new[k]) for k in old), default=0.0)
+    if isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            return math.inf
+        return max(map(largest_difference, old, new), default=0.0)
+    return 0.0 if old == new else math.inf
+
+
+def write_matrix(records: list[dict]):
+    """MATRIX_FILE with one line per report, so that a change of scores diffs per report."""
+    body = ",\n".join("    " + json.dumps(r) for r in records)
+    MATRIX_FILE.write_text('{\n  "matrix": [\n' + body + "\n  ]\n}\n", encoding="utf-8")
 
 
 def main() -> int:
@@ -98,16 +135,21 @@ def main() -> int:
     parser.add_argument("--save", metavar="FILE", help="write the hashed values to FILE")
     parser.add_argument("--against", metavar="FILE",
                         help="compare with values saved by --save; exit 1 above 1e-12")
+    parser.add_argument("--save-matrix", action="store_true",
+                        help=f"rewrite {MATRIX_FILE.name}, the values the tier-1 test checks")
     args = parser.parse_args()
-    digest, rmses, rows = collect()
+    digest, records, rows = collect()
     print(digest)
+    values = {"matrix": records, "rows": rows}
     if args.save:
         with open(args.save, "w", encoding="utf-8") as fh:
-            json.dump({"digest": digest, "rmses": rmses, "rows": rows}, fh)
+            json.dump({"digest": digest, **values}, fh)
+    if args.save_matrix:
+        write_matrix(records)
     if args.against:
         with open(args.against, "r", encoding="utf-8") as fh:
             saved = json.load(fh)
-        worst = largest_difference(saved, rmses, rows)
+        worst = largest_difference({k: saved.get(k) for k in values}, values)
         print(f"against {saved['digest']}: largest relative difference {worst:.3g}")
         if not worst <= TOLERANCE:
             return 1

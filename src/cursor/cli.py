@@ -589,8 +589,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         opts = _resolve(args)
         out = Path(_require(opts, "out"))
+        made = [p for p in (out, *out.parents) if not p.exists()]  # deepest first
         out.mkdir(parents=True, exist_ok=True)
-        line = HANDLERS[opts["command"]](opts, out)
+        try:
+            line = HANDLERS[opts["command"]](opts, out)
+        except Exception:
+            # A refused or failed command leaves no directory it made and left empty.
+            for path in made:
+                if any(path.iterdir()):
+                    break
+                path.rmdir()
+            raise
         _write_manifest(out, opts)
         print(line)
         return 0

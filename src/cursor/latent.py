@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import derive_rng
+from ._util import derive_rng, derive_rngs
 
 __all__ = [
     "ACQUISITION_D_MAX",
@@ -79,7 +79,15 @@ def point_at_distance(target: LatentPoint, d: float, seed: int) -> LatentPoint:
 
 def unit_direction(dim: int, seed: int) -> np.ndarray:
     """A seeded unit vector in R^dim."""
-    rng = derive_rng(seed, "direction")
+    return _unit_vector(dim, derive_rng(seed, "direction"))
+
+
+def unit_directions(dim: int, seeds: np.ndarray) -> np.ndarray:
+    """unit_direction(dim, seed) for each of a column of seeds, one row each."""
+    return np.array([_unit_vector(dim, rng) for rng in derive_rngs(seeds, "direction")])
+
+
+def _unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     while True:
         u = rng.standard_normal(dim)
         norm = np.linalg.norm(u)

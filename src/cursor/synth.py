@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import derive_rng, derive_seed
+from ._util import derive_rng, derive_rngs, derive_seeds
 from .dataset import GroundTruth, StimulusResponseDataset
-from .latent import ACQUISITION_D_MAX, as_point, trajectory_distances, unit_direction
+from .latent import ACQUISITION_D_MAX, as_point, trajectory_distances, unit_directions
 
 __all__ = [
     "Link",
@@ -122,8 +122,19 @@ def simulate_response(model: ResponseModel, d: float, trial_seed: int) -> np.nda
     rng = derive_rng(trial_seed, "trial-noise")
     eta = rng.standard_normal(model.nuisance_rank)
     eps = rng.standard_normal(model.response_dim)
-    signal = model.signal_gain * model.link(d) * model.signal_dirs.sum(axis=1)
-    return signal + model.nuisance_gain * (model.nuisance_basis @ eta) + model.noise_sigma * eps
+    return _responses(model, model.signal_gain * model.link(d), eta, eps)
+
+
+def _responses(model: ResponseModel, amplitude, eta: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """signal + nuisance + noise for amplitudes signal_gain * g(d), one per row of eta and eps.
+
+    B @ eta stays a matrix-vector product per row, so a row rounds as it
+    does alone; eta @ B.T would not.
+    """
+    out = np.multiply.outer(amplitude, model.signal_dirs.sum(axis=1))
+    out += model.nuisance_gain * (model.nuisance_basis @ eta[..., None])[..., 0]
+    out += model.noise_sigma * eps
+    return out
 
 
 def generate_dataset(targets, trajectories_per_target: int, points_per_trajectory: int,
@@ -138,6 +149,12 @@ def generate_dataset(targets, trajectories_per_target: int, points_per_trajector
     (master_seed, target, trajectory, point) so generation is bit-reproducible
     and independent of iteration order.  Hidden ground truth is recorded only
     for single-target datasets, where "distance to the target" is unambiguous.
+
+    Seeds are derived for all rows at once (derive_seeds, derive_rngs), and
+    the responses are summed as whole arrays.  Each row still draws from its
+    own generator, seeded as derive_rng would seed it, so every row equals
+    simulate_response(model, d, derive_seed(master_seed, ti, tj, pk, "trial"))
+    bit for bit.
     """
     targets = [as_point(t) for t in targets]
     if not targets:
@@ -149,14 +166,22 @@ def generate_dataset(targets, trajectories_per_target: int, points_per_trajector
         raise ValueError("trajectory counts must be positive")
 
     ladder = trajectory_distances(points_per_trajectory, d_min, d_max, spacing)
-    stimuli, responses = [], []
-    for ti, target in enumerate(targets):
-        for tj in range(trajectories_per_target):
-            u = unit_direction(dim, derive_seed(master_seed, ti, tj, "trajectory"))
-            stimuli.append(target.coords + ladder[:, None] * u)
-            for pk, dist in enumerate(ladder):
-                trial_seed = derive_seed(master_seed, ti, tj, pk, "trial")
-                responses.append(simulate_response(model, dist, trial_seed))
+    # Rows run over (target ti, trajectory tj, point pk), pk fastest.
+    ti, tj = np.divmod(np.arange(len(targets) * trajectories_per_target), trajectories_per_target)
+    u = unit_directions(dim, derive_seeds(master_seed, ti, tj, "trajectory"))
+    coords = np.array([t.coords for t in targets])[ti]
+    stimuli = (coords[:, None, :] + ladder[:, None] * u[:, None, :]).reshape(-1, dim)
+
+    n_points = len(ladder)
+    trial_seeds = derive_seeds(master_seed, np.repeat(ti, n_points), np.repeat(tj, n_points),
+                               np.tile(np.arange(n_points), len(ti)), "trial")
+    eta = np.empty((len(trial_seeds), model.nuisance_rank))
+    eps = np.empty((len(trial_seeds), model.response_dim))
+    for i, rng in enumerate(derive_rngs(trial_seeds, "trial-noise")):
+        rng.standard_normal(out=eta[i])
+        rng.standard_normal(out=eps[i])
+    amplitude = np.tile([model.signal_gain * model.link(d) for d in ladder], len(ti))
+    responses = _responses(model, amplitude, eta, eps)
 
     truth = None
     if len(targets) == 1:
@@ -182,4 +207,4 @@ def generate_dataset(targets, trajectories_per_target: int, points_per_trajector
             },
         }
     }
-    return StimulusResponseDataset(np.vstack(stimuli), np.asarray(responses), truth, provenance)
+    return StimulusResponseDataset(stimuli, responses, truth, provenance)

@@ -153,11 +153,14 @@ def test_cli_runs_blas_on_one_thread_unless_told(tmp_path, data_csv, thread_vars
 
 
 def test_import_cursor_leaves_numpy_unloaded():
-    # so that cursor.cli can still choose the BLAS thread count
+    # so that cursor.cli can still choose the BLAS thread count; and starting
+    # the CLI leaves numpy.random (about 1 MB) to the commands that draw
     script = ("import sys, cursor\n"
               "assert 'numpy' not in sys.modules\n"
               "cursor.score\n"
-              "assert 'numpy' in sys.modules\n")
+              "assert 'numpy' in sys.modules\n"
+              "import cursor.cli\n"
+              "assert 'numpy.random' not in sys.modules, 'cursor.cli loads numpy.random'\n")
     proc = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -599,7 +602,8 @@ def test_ablate_duplicate_labels_fail_before_plan_json(tmp_path, capsys):
 def test_refused_options_write_nothing(tmp_path, data_csv, capsys, argv, needle):
     # a flag the chosen mode would ignore, a value it cannot use (NaN and inf
     # included), a sweep size above N, or a hypothesis so far away that its
-    # distances overflow, is refused before any output
+    # distances overflow, is refused before any output, and leaves no output
+    # directory behind
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({
         "dataset": {"file": data_csv}, "hypothesis_set": {"count": 6, "d_max": 8},
@@ -614,7 +618,16 @@ def test_refused_options_write_nothing(tmp_path, data_csv, capsys, argv, needle)
     assert needle.format(**names) in err
     # one error line; argparse prints its usage line before its own
     assert err.count("\n") == (2 if err.startswith("usage: ") else 1), err
-    assert not any((out / name).exists() for name in ("manifest.json", "plan.json", "score.json"))
+    assert not out.exists()
+
+
+def test_refused_command_removes_only_directories_it_made(tmp_path, data_csv):
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    argv = ["score", "--data", data_csv, "--hypothesis", "1e200,1e200,1e200,1e200"]
+    assert main([*argv, "-o", str(kept)]) == 2
+    assert main([*argv, "-o", str(tmp_path / "a" / "b")]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept"]
 
 
 @pytest.mark.parametrize("command", list(COMMANDS))

@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from cursor._util import derive_seed
+from cursor._util import derive_rng, derive_seed
 from cursor.latent import LatentPoint, similarity, trajectory_distances, unit_direction
 from cursor.synth import Link, generate_dataset, make_response_model, simulate_response
 
@@ -163,3 +165,67 @@ def test_generate_dataset_trajectory_shares_one_direction():
         assert np.allclose(dirs, dirs[0], atol=1e-12)
         directions.append(dirs[0])
     assert not np.allclose(directions[0], directions[1])
+
+
+def test_generate_dataset_rows_equal_simulate_response():
+    # the whole-array path draws and adds exactly what the one-row path does
+    m = make_response_model(12, k_signal=2, nuisance_rank=3, link=Link("saturating", 4.0), seed=1)
+    ts = [LatentPoint(np.zeros(3)), LatentPoint(np.ones(3))]
+    ds = generate_dataset(ts, 3, 4, m, master_seed=2**40 + 1, d_min=0.5, d_max=20.0)
+    ladder = trajectory_distances(4, 0.5, 20.0, "logarithmic")
+    rows = [simulate_response(m, d, derive_seed(2**40 + 1, ti, tj, pk, "trial"))
+            for ti in range(2) for tj in range(3) for pk, d in enumerate(ladder)]
+    assert np.array_equal(ds.responses, np.array(rows))
+
+
+# SHA-256 of generate_dataset's stimuli and responses (6 trajectories x 5
+# points per target, Dz=5, De=12, d_max=20), recorded when each row still
+# built its own SeedSequence objects: generation must not move a byte.
+GENERATION_SHA256 = {
+    "two-targets": (
+        dict(targets=2, master_seed=41, link=Link("linear"), spacing="logarithmic", d_min=0.0),
+        "b4b258e24243145aa36f4db62e250f144bd0c52a656a4d85d8930b98f8675515",
+        "825f70b4dc7afbf32b7711a4ec7c06aa24be710e305b653778bb7ef8fde1f51d"),
+    "seed-above-2^32": (
+        dict(targets=1, master_seed=5 * 10**9, link=Link("saturating", 4.0), spacing="uniform",
+             d_min=0.0),
+        "96e56b25d1742670ec364233f16ec567f5f88d05daa5a42552affdd6d88f48d8",
+        "2f82033a3bf82dcbd44895f87cbd7457d6a9133cca711206b97bf4d6c4cb9c17"),
+    "seed-above-2^64": (
+        dict(targets=1, master_seed=2**70 + 3, link=Link("linear"), spacing="uniform", d_min=0.5),
+        "bd0beaf4c7cf7352e3fb437e8763cf97ab475e1e8f4aa99b0314b8bc644b80e4",
+        "05d5a589a1b83c79b3df37642ea2d060c314d29e3e5a2b7d91e2181bcac46c6e"),
+    "negative-seed": (
+        dict(targets=2, master_seed=-3, link=Link("saturating", 4.0), spacing="logarithmic",
+             d_min=0.0),
+        "7d2e566381eea9fd9d1df89515f5bde4e40970fa19cc002b3022e082cb07a61f",
+        "05c54875af866159b7fdd207ed957f1544b02fd4aaa0356df5b610ba6bb35d5b"),
+    "d-min-saturating-log": (
+        dict(targets=1, master_seed=7, link=Link("saturating", 10.0), spacing="logarithmic",
+             d_min=1.5),
+        "75df49ffe8904c744cfbc1197a726e079576ec00a55d978031fa1838c841c7ef",
+        "d8ed3531427b007eb561752cb739480adcf7ddbdb1cd6435d65ebeba9a8ccc85"),
+    "d-min-linear-uniform": (
+        dict(targets=3, master_seed=0, link=Link("linear"), spacing="uniform", d_min=2.0),
+        "3c7816d42d3edce61b14761edb6b4933585706a6560496fdbe07e7467386cc59",
+        "09c2159caa1fe2b856417056a838f10dcac8376fefa442d6ceaef80493310610"),
+    "no-nuisance": (
+        dict(targets=2, master_seed=41, link=Link("linear"), spacing="logarithmic", d_min=0.0,
+             nuisance_rank=0),
+        "b4b258e24243145aa36f4db62e250f144bd0c52a656a4d85d8930b98f8675515",
+        "f3fede53e7c1eff56c1054dce532c07cdc6d01ae10b58b82f81a4d62ae081b45"),
+}
+
+
+@pytest.mark.parametrize("case", list(GENERATION_SHA256))
+def test_generation_bytes_are_pinned(case):
+    geometry, stimuli_sha, responses_sha = GENERATION_SHA256[case]
+    geometry = dict(geometry)
+    model = make_response_model(12, k_signal=2, nuisance_rank=geometry.pop("nuisance_rank", 3),
+                                noise_sigma=0.7, nuisance_gain=1.3, signal_gain=0.9,
+                                link=geometry.pop("link"), seed=5)
+    targets = [LatentPoint(derive_rng(9, "coords", i).standard_normal(5))
+               for i in range(geometry.pop("targets"))]
+    ds = generate_dataset(targets, 6, 5, model, d_max=20.0, **geometry)
+    assert hashlib.sha256(ds.stimuli.tobytes()).hexdigest() == stimuli_sha
+    assert hashlib.sha256(ds.responses.tobytes()).hexdigest() == responses_sha
