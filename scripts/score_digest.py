@@ -5,19 +5,18 @@ ols, ridge and dummy; 1-3 shuffles; the aligned branch kept or shuffled; Gram,
 SVD and mixed fold stacks; reference subsamples; and reference trials 0 and 1.
 
     PYTHONPATH=src python scripts/score_digest.py [--save FILE] [--against FILE]
-                                                  [--save-matrix]
 
 A change that only rounds differently moves the digest, so --save writes the
 hashed values (each report's per-fold RMSEs, score and flags, and the trial
-rows) to a JSON file, and --against compares this tree's values with such a
-file.  It prints the largest relative difference of the floats and exits 1
-when that exceeds 1e-12 or when anything else (a rank, a flag, the number of
-values) differs.
+rows) to a JSON file, one record per line, and --against compares this tree's
+values with such a file.  It prints the largest relative difference of the
+floats and exits 1 when that exceeds 1e-12 or when anything else (a rank, a
+flag, the number of values) differs.
 
-score_matrix.json, beside this script, holds the matrix's values without the
-trial rows (the reference calibration covers those), and a tier-1 test
-compares this tree's values with it the same way.  A change that moves scores
-on purpose rewrites it with --save-matrix.
+score_matrix.json, beside this script, was written by --save, and a tier-1
+test compares this tree's matrix values with its "matrix" records the same way
+(the reference calibration covers the trial rows).  A change that moves scores
+on purpose rewrites it with --save scripts/score_matrix.json.
 """
 
 import argparse
@@ -124,28 +123,20 @@ def largest_difference(old, new) -> float:
     return 0.0 if old == new else math.inf
 
 
-def write_matrix(records: list[dict]):
-    """MATRIX_FILE with one line per report, so that a change of scores diffs per report."""
-    body = ",\n".join("    " + json.dumps(r) for r in records)
-    MATRIX_FILE.write_text('{\n  "matrix": [\n' + body + "\n  ]\n}\n", encoding="utf-8")
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--save", metavar="FILE", help="write the hashed values to FILE")
     parser.add_argument("--against", metavar="FILE",
                         help="compare with values saved by --save; exit 1 above 1e-12")
-    parser.add_argument("--save-matrix", action="store_true",
-                        help=f"rewrite {MATRIX_FILE.name}, the values the tier-1 test checks")
     args = parser.parse_args()
     digest, records, rows = collect()
     print(digest)
     values = {"matrix": records, "rows": rows}
     if args.save:
+        lists = (f'  "{k}": [\n' + ",\n".join("    " + json.dumps(r) for r in v) + "\n  ]"
+                 for k, v in values.items())
         with open(args.save, "w", encoding="utf-8") as fh:
-            json.dump({"digest": digest, **values}, fh)
-    if args.save_matrix:
-        write_matrix(records)
+            fh.write(f'{{\n  "digest": "{digest}",\n' + ",\n".join(lists) + "\n}\n")
     if args.against:
         with open(args.against, "r", encoding="utf-8") as fh:
             saved = json.load(fh)

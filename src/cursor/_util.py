@@ -66,6 +66,8 @@ _MASK32 = 0xFFFFFFFF
 
 def _words(value: int) -> list[int]:
     """An int's little-endian uint32 words, as SeedSequence splits it (0 is one word)."""
+    if value < 0:  # below -2**64, folding by +2**64 leaves it negative
+        raise ValueError("expected non-negative integer")
     words = [value & _MASK32]
     while value := value >> 32:
         words.append(value & _MASK32)

@@ -2,8 +2,8 @@
 
 scripts/score_digest.py defines the matrix (ols, ridge and dummy; 1-3
 shuffles; the aligned branch kept or shuffled; Gram, SVD and mixed fold
-stacks; reference subsamples) and wrote scripts/score_matrix.json.  A change
-that moves scores on purpose rewrites that file with --save-matrix, so the
+stacks; reference subsamples), and its --save wrote scripts/score_matrix.json.
+A change that moves scores on purpose rewrites that file the same way, so the
 move is a reviewed diff.
 """
 

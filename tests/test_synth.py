@@ -167,17 +167,6 @@ def test_generate_dataset_trajectory_shares_one_direction():
     assert not np.allclose(directions[0], directions[1])
 
 
-def test_generate_dataset_rows_equal_simulate_response():
-    # the whole-array path draws and adds exactly what the one-row path does
-    m = make_response_model(12, k_signal=2, nuisance_rank=3, link=Link("saturating", 4.0), seed=1)
-    ts = [LatentPoint(np.zeros(3)), LatentPoint(np.ones(3))]
-    ds = generate_dataset(ts, 3, 4, m, master_seed=2**40 + 1, d_min=0.5, d_max=20.0)
-    ladder = trajectory_distances(4, 0.5, 20.0, "logarithmic")
-    rows = [simulate_response(m, d, derive_seed(2**40 + 1, ti, tj, pk, "trial"))
-            for ti in range(2) for tj in range(3) for pk, d in enumerate(ladder)]
-    assert np.array_equal(ds.responses, np.array(rows))
-
-
 # SHA-256 of generate_dataset's stimuli and responses (6 trajectories x 5
 # points per target, Dz=5, De=12, d_max=20), recorded when each row still
 # built its own SeedSequence objects: generation must not move a byte.

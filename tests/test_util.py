@@ -92,3 +92,8 @@ def test_array_form_refuses_what_it_cannot_lay_out():
         derive_seeds(np.linspace(0, 1, 3))
     with pytest.raises(TypeError):
         derive_seeds(np.arange(3), 1.5)
+    # as SeedSequence refuses it: folding by +2**64 leaves it negative
+    with pytest.raises(ValueError):
+        derive_seed(-(2**65))
+    with pytest.raises(ValueError):
+        derive_seeds(-(2**65), np.arange(3))
