@@ -110,7 +110,7 @@ OPTIONS = {
     "folds": (("--folds",), DEFAULT_PLAN["cv"]["n_folds"], {"type": int}),
     "train_fraction": (("--train-fraction",), DEFAULT_PLAN["cv"]["train_fraction"],
                        {"type": float}),
-    "shuffles": (("--shuffles",), DEFAULT_PLAN["scoring"]["n_shuffles"],
+    "shuffles": (("--shuffles",), 1,
                  {"type": int, "help": "number of control permutations averaged per fold"}),
     "shuffle_aligned": (("--shuffle-aligned",), _ESTIMATOR["shuffle_aligned"],
                         {"action": argparse.BooleanOptionalAction,
@@ -228,15 +228,18 @@ def _resolve(args: argparse.Namespace) -> dict:
                     f"manifest is for '{config.get('subcommand')}', not '{command}'"
                 )
             config = config["options"]
-        # Older manifests name the formula, which is now the only one; a
-        # replay that asked for another would silently score differently.
-        if config.get("ratio_mode", "ratio_of_mean_rmses") != "ratio_of_mean_rmses":
-            raise ValueError(f"ratio_mode {config['ratio_mode']!r} is not supported; "
-                             "S(h) is the ratio of the mean RMSEs")
 
     opts = {"command": command}
     for dest in COMMANDS[command][1]:
         opts[dest] = given[dest] if dest in given else config.get(dest, OPTIONS[dest][1])
+    # Older manifests name the formula and the number of control permutations;
+    # S(h) has one of each, and a replay asking for another would score differently.
+    if config.get("ratio_mode", "ratio_of_mean_rmses") != "ratio_of_mean_rmses":
+        raise ValueError(f"ratio_mode {config['ratio_mode']!r} is not supported; "
+                         "S(h) is the ratio of the mean RMSEs")
+    if opts.get("shuffles", 1) != 1:
+        raise ValueError(f"{_flag('shuffles')} {opts['shuffles']} is not supported; "
+                         "S(h) uses one control permutation")
     mode, ignored = _ignored(opts)
     refused = [_flag(dest) for dest in ignored if dest in given]
     if refused:
@@ -295,7 +298,6 @@ def _scoring_sections(opts: dict) -> dict:
             "shuffle_aligned": bool(opts.get("shuffle_aligned", False)),
         }],
         "cv": {"n_folds": opts["folds"], "train_fraction": opts["train_fraction"]},
-        "scoring": {"n_shuffles": opts["shuffles"]},
     }
 
 

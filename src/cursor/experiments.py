@@ -160,9 +160,9 @@ PLAN_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "n_shuffles": {"type": "integer", "minimum": 1},
-                # Plans written before S(h) had one formula spell these out;
-                # they still load, keep their hash, and score as they did.
+                # Legacy keys, which older plans spell out; such plans still
+                # load, keep their hash, and score as they did.
+                "n_shuffles": {"const": 1},
                 "ratio_mode": {"const": "ratio_of_mean_rmses"},
                 "denom_floor": {"const": DENOM_FLOOR},
             },
@@ -393,13 +393,12 @@ def _replicate_datasets(plan: ExperimentPlan) -> dict:
 
 def score_config(sections: dict, spec: EstimatorSpec, shuffle_aligned: bool,
                  cv_seed: int, perm_seed: int) -> ScoreConfig:
-    """The ScoreConfig of one cell, from a plan's "cv" and "scoring" sections."""
+    """The ScoreConfig of one cell, from a plan's "cv" section."""
     cv = sections["cv"]
     return ScoreConfig(
         estimator=spec,
         cv=CvConfig(n_folds=cv["n_folds"], train_fraction=cv["train_fraction"], seed=cv_seed),
         perm_seed=perm_seed,
-        n_shuffles=sections["scoring"]["n_shuffles"],
         shuffle_aligned=shuffle_aligned,
     )
 

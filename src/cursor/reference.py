@@ -116,11 +116,8 @@ def reference_dataset(trial: int, model: ResponseModel | None = None,
 def reference_score_config(trial: int, kind: str = "ols",
                            shuffle_aligned: bool = False) -> ScoreConfig:
     seeds = trial_seeds(trial)
-    sections = {
-        "cv": {"n_folds": REFERENCE["n_folds"], "train_fraction": REFERENCE["train_fraction"]},
-        "scoring": DEFAULT_PLAN["scoring"],
-    }
-    return score_config(sections, EstimatorSpec(kind=kind), shuffle_aligned,
+    cv = {"n_folds": REFERENCE["n_folds"], "train_fraction": REFERENCE["train_fraction"]}
+    return score_config({"cv": cv}, EstimatorSpec(kind=kind), shuffle_aligned,
                         seeds["cv"], seeds["perm"])
 
 

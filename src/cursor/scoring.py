@@ -2,7 +2,7 @@
 
 For a hypothesis h, pair every response with its induced distance d_i^h,
 cross-validate an estimator on the aligned pairs and again on pairs whose
-responses were shuffled by a seeded permutation, and return
+responses were shuffled by one seeded permutation, and return
 
     S(h) = rmse_shuffled / max(rmse_aligned, DENOM_FLOOR).
 
@@ -13,7 +13,7 @@ and one factorization per cell of the standardized training responses.  The
 centered responses, their Gram matrix and column sums belong to the dataset
 (StimulusResponseDataset.centered_gram), formed once and shared by every
 scorer built on that object; a fold's training Gram matrix is the full one
-minus its validation rows' share.  The aligned branch and every shuffled one
+minus its validation rows' share.  The aligned branch and the shuffled one
 form one stack of (branch, fold) cells, and the standardized Gram matrices
 C_std of all cells are formed in one pass.  A cell keeps C_std + lambda I
 (lambda = 0 for OLS), one De x De matrix that each scoring call solves
@@ -40,7 +40,7 @@ dc = d - mean(d), and a fold's training mean of dc is the full sum minus its
 validation rows' share.  The target std needs no computing: OLS and ridge
 predictions are linear in the targets, so it cancels out of every residual.
 On the Gram path, X0[rows]^T yc for every cell and hypothesis comes from one
-stacked GEMM of every branch's rows of dc (each in its branch's inverse row
+stacked GEMM of both branches' rows of dc (each in its branch's inverse row
 order) with X0, minus the validation rows' share.  One stacked
 np.linalg.solve gives the weights of every cell and hypothesis, and the
 predictions and RMSEs come from products stacked over cells, so a generation
@@ -113,17 +113,13 @@ DENOM_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class ScoreConfig:
+    """Estimator and folds of S(h); perm_seed draws the one control permutation,
+    and shuffle_aligned shuffles the aligned branch too (by a derived seed)."""
+
     estimator: EstimatorSpec = field(default_factory=EstimatorSpec)
     cv: CvConfig = field(default_factory=CvConfig)
     perm_seed: int = 0
-    # Average the shuffled RMSE over this many independent permutations.
-    n_shuffles: int = 1
-    # Pre-shuffle the "aligned" branch too (the always-shuffling control).
     shuffle_aligned: bool = False
-
-    def __post_init__(self):
-        if self.n_shuffles < 1:
-            raise ValueError("n_shuffles must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,10 +131,16 @@ class ScoreReport:
     per_fold_aligned: tuple[float, ...]
     per_fold_shuffled: tuple[float, ...]
     seeds: dict
-    # Both branches use the same folds, so one digest covers them.
-    splits_digest: str
+    # The scorer's splits are cv_splits(*folds); a report holding the splits
+    # themselves would keep N indices per fold alive.
+    folds: tuple[CvConfig, int]
     denominator_floored: bool = False
     degenerate_distances: bool = False
+
+    @property
+    def splits_digest(self) -> str:
+        """Both branches use the same folds, so one digest covers them."""
+        return _splits_digest(cv_splits(*self.folds))
 
 
 def report_to_json(report: ScoreReport) -> str:
@@ -214,8 +216,8 @@ class HypothesisScorer:
 
     The scorer is one stack of (branch, fold) cells.  Branch p pairs target i
     with response row orders[p, i]: branch 0 is the aligned one (the identity,
-    or the control permutation under shuffle_aligned), branches 1..n_shuffles
-    the shuffled ones, and _inv holds each order's inverse.  Cell (p, f) is
+    or the control permutation under shuffle_aligned), branch 1 the shuffled
+    one, and _inv holds each order's inverse.  Cell (p, f) is
     fold f of branch p; _paths[p, f] records how it is solved: "gram", "svd",
     or "mean" under the dummy estimator, which solves nothing.  The Gram
     factors of every cell are stacked branches x folds: _mu and _sigma
@@ -236,12 +238,10 @@ class HypothesisScorer:
         self.splits = cv_splits(cfg.cv, n)
         self._val = np.stack([val for _, val in self.splits])
         self._n_train = self.splits[0][0].shape[0]
-        # Every branch takes its folds from self.splits.
-        self._digest = _splits_digest(self.splits)
         self.seeds = {
             "cv_seed": int(cfg.cv.seed),
             "perm_seed": int(cfg.perm_seed),
-            "n_shuffles": int(cfg.n_shuffles),
+            "n_shuffles": 1,  # kept in score.json for its readers and the CLI digest
             "aligned_control_seed": None,
         }
 
@@ -250,10 +250,7 @@ class HypothesisScorer:
             control_seed = derive_seed(cfg.perm_seed, "aligned-control")
             self.seeds["aligned_control_seed"] = control_seed
             aligned_order = draw_permutation(n, control_seed)
-        shuffle_seeds = [cfg.perm_seed] + [
-            derive_seed(cfg.perm_seed, "multi-shuffle", j) for j in range(1, cfg.n_shuffles)
-        ]
-        orders = np.stack([aligned_order] + [draw_permutation(n, s) for s in shuffle_seeds])
+        orders = np.stack([aligned_order, draw_permutation(n, cfg.perm_seed)])
         self._inv = np.empty_like(orders)
         np.put_along_axis(self._inv, orders, np.arange(n), axis=1)
 
@@ -416,7 +413,7 @@ class HypothesisScorer:
 
         rms = self._rmses(d)
         per_fold_aligned = rms[0].T
-        per_fold_shuffled = rms[1:].mean(axis=0).T
+        per_fold_shuffled = rms[1].T
         rmse_aligned = per_fold_aligned.mean(axis=1)
         rmse_shuffled = per_fold_shuffled.mean(axis=1)
         return [
@@ -428,7 +425,7 @@ class HypothesisScorer:
                 per_fold_aligned=tuple(per_fold_aligned[b].tolist()),
                 per_fold_shuffled=tuple(per_fold_shuffled[b].tolist()),
                 seeds=dict(self.seeds),
-                splits_digest=self._digest,
+                folds=(self.cfg.cv, self.ds.n),
                 denominator_floored=bool(rmse_aligned[b] < DENOM_FLOOR),
                 degenerate_distances=bool(degenerate[b]),
             )

@@ -272,12 +272,18 @@ def test_manifest_with_workers_key_replays(tmp_path, data_csv, capsys):
     ("plan", {"ratio_mode": "ratio_of_mean_rmses", "denom_floor": 1e-12}, True),
     ("plan", {"ratio_mode": "mean_of_fold_ratios"}, False),
     ("plan", {"denom_floor": 1e-6}, False),
+    ("manifest", {"shuffles": 1}, True),
+    ("manifest", {"shuffles": 2}, False),
+    ("plan", {"n_shuffles": 1}, True),
+    ("plan", {"n_shuffles": 2}, False),
 ], ids=["manifest-same-formula", "manifest-other-formula", "plan-same-formula",
-        "plan-other-formula", "plan-other-floor"])
+        "plan-other-formula", "plan-other-floor", "manifest-one-shuffle",
+        "manifest-two-shuffles", "plan-one-shuffle", "plan-two-shuffles"])
 def test_older_formula_settings_replay_or_refuse(tmp_path, data_csv, capsys,
                                                  source, scoring, accepted):
-    # manifests and plans from before S(h) had one formula name it; they
-    # reproduce the run when they name that formula and are refused otherwise
+    # manifests and plans from before S(h) had one formula and one control
+    # permutation name them; they reproduce the run when they name those and
+    # are refused otherwise
     run, again = tmp_path / "run", tmp_path / "again"
     if source == "manifest":
         assert rank_run(data_csv, run) == 0
@@ -292,6 +298,8 @@ def test_older_formula_settings_replay_or_refuse(tmp_path, data_csv, capsys,
                 assert (run / name).read_bytes() == (again / name).read_bytes()
         else:
             assert code == 2
+            assert capsys.readouterr().err.count("\n") == 1
+            assert not again.exists()
     else:
         assert rank_run(data_csv, run, ("--sizes", "10,12", "--replicates", "1")) == 0
         raw = json.loads((run / "plan.json").read_text())
@@ -591,6 +599,8 @@ def test_ablate_duplicate_labels_fail_before_plan_json(tmp_path, capsys):
      "error: plan $.sizes: [12, 12] has non-unique elements"),
     (["ablate", "--data", "{data}", *RANK_ARGS, "--thresholds", "2,2.0"],
      "error: plan $.ablation_thresholds: [2.0, 2.0] has non-unique elements"),
+    (["rank", "--data", "{data}", *RANK_ARGS, "--shuffles", "2"],
+     "error: --shuffles 2 is not supported; S(h) uses one control permutation"),
 ], ids=["ablate-plan-L", "ablate-plan-many", "ablate-plan-thresholds",
         "rank-replicates-without-sizes", "score-hypothesis-and-file", "rank-format",
         "recover-seed", "rank-sizes-above-n", "score-file-without-coords",
@@ -598,7 +608,8 @@ def test_ablate_duplicate_labels_fail_before_plan_json(tmp_path, capsys):
         "score-ridge-lambda-nan", "ablate-threshold-nan", "optimize-sigma0-inf",
         "rank-d-max-nan", "rank-d-max-inf", "sweep-d-max-nan", "rank-d-max-huge",
         "sweep-d-max-huge", "ablate-d-max-huge", "score-hypothesis-huge",
-        "sweep-zero-replicates", "sweep-repeated-size", "ablate-repeated-threshold"])
+        "sweep-zero-replicates", "sweep-repeated-size", "ablate-repeated-threshold",
+        "rank-two-shuffles"])
 def test_refused_options_write_nothing(tmp_path, data_csv, capsys, argv, needle):
     # a flag the chosen mode would ignore, a value it cannot use (NaN and inf
     # included), a sweep size above N, or a hypothesis so far away that its

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cursor import scoring
 from cursor.latent import LatentPoint, similarity
 from cursor.ranking import (
     HypothesisSet,
@@ -167,3 +168,14 @@ def test_rank_report_deterministic():
     b = rank_report(ds, hs, fast_config(seed=28))
     assert a.scores == b.scores
     assert a.target_rank == b.target_rank
+
+
+def test_rank_report_hashes_no_splits(monkeypatch):
+    # only score.json reads the splits digest, so a ranking never computes it
+    def refuse(_):
+        raise AssertionError("splits hashed")
+
+    monkeypatch.setattr(scoring, "_splits_digest", refuse)
+    ds, target = tiny_dataset(seed=26, noise=0.3)
+    hs = build_hypothesis_set(target, L=6, d_max=15.0, seed=27)
+    assert len(rank_report(ds, hs, fast_config(seed=28)).scores) == 6

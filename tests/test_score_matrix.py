@@ -1,8 +1,8 @@
 """Per-hypothesis scores stay within 1e-12 of the committed scorer matrix.
 
-scripts/score_digest.py defines the matrix (ols, ridge and dummy; 1-3
-shuffles; the aligned branch kept or shuffled; Gram, SVD and mixed fold
-stacks; reference subsamples), and its --save wrote scripts/score_matrix.json.
+scripts/score_digest.py defines the matrix (ols, ridge and dummy; the
+aligned branch kept or shuffled; Gram, SVD and mixed fold stacks; reference
+subsamples), and its --save wrote scripts/score_matrix.json.
 A change that moves scores on purpose rewrites that file the same way, so the
 move is a reviewed diff.
 """

@@ -29,11 +29,6 @@ from conftest import fast_config, tiny_dataset
 from svd_reference import cv_rmse, standardize
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        ScoreConfig(n_shuffles=0)
-
-
 def test_dummy_estimator_scores_exactly_one():
     # mean predictor is permutation invariant, so the ratio is 1 bitwise
     ds, target = tiny_dataset(seed=1)
@@ -76,7 +71,7 @@ def test_score_matches_manual_ratio(spec):
 
 def test_both_branches_use_identical_folds():
     ds, target = tiny_dataset(seed=4)
-    cfg = fast_config(seed=4, n_shuffles=3, shuffle_aligned=True)
+    cfg = fast_config(seed=4, shuffle_aligned=True)
     rep = score(ds, target, cfg)
     expect = _splits_digest(cv_splits(cfg.cv, ds.n))
     assert rep.splits_digest == expect
@@ -98,16 +93,6 @@ def test_shuffle_aligned_control_centers_at_one():
     # both branches shuffled: no alignment advantage left
     assert rep.score == pytest.approx(1.0, abs=0.35)
     assert rep.score < score(ds, target, cfg).score
-
-
-def test_n_shuffles_averages_independent_permutations():
-    ds, target = tiny_dataset(seed=7)
-    cfg1 = fast_config(seed=7)
-    cfg4 = fast_config(seed=7, n_shuffles=4)
-    r1 = score(ds, target, cfg1)
-    r4 = score(ds, target, cfg4)
-    assert r1.rmse_aligned == r4.rmse_aligned
-    assert r1.rmse_shuffled != r4.rmse_shuffled
 
 
 def test_default_ratio_is_ratio_of_mean_rmses():
@@ -276,9 +261,7 @@ def _branch_orders(cfg, n):
     aligned = np.arange(n)
     if cfg.shuffle_aligned:
         aligned = draw_permutation(n, derive_seed(cfg.perm_seed, "aligned-control"))
-    seeds = [cfg.perm_seed] + [derive_seed(cfg.perm_seed, "multi-shuffle", j)
-                               for j in range(1, cfg.n_shuffles)]
-    return [aligned] + [draw_permutation(n, s) for s in seeds]
+    return [aligned, draw_permutation(n, cfg.perm_seed)]
 
 
 def _reference_per_branch(ds, d, cfg):
@@ -291,7 +274,7 @@ def _reference_per_branch(ds, d, cfg):
 def _reference_per_fold(ds, d, cfg):
     """Per-fold aligned and shuffled RMSEs from the SVD reference path."""
     rms = _reference_per_branch(ds, d, cfg)
-    return rms[0].tolist(), rms[1:].mean(axis=0).tolist()
+    return rms[0].tolist(), rms[1].tolist()
 
 
 def _assert_reports_match(got, want, rel):
@@ -305,10 +288,8 @@ def _paths(scorer):
 
 
 @given(case=st.sampled_from(FOLD_CASES), kind=st.sampled_from(["ols", "ridge", "dummy_mean"]),
-       n_shuffles=st.sampled_from([1, 2]), shuffle_aligned=st.booleans(),
-       seed=st.integers(0, 2**32 - 1))
-def test_scorer_matches_svd_reference_on_every_fold(case, kind, n_shuffles,
-                                                    shuffle_aligned, seed):
+       shuffle_aligned=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_scorer_matches_svd_reference_on_every_fold(case, kind, shuffle_aligned, seed):
     rng = np.random.default_rng(seed)
     n_folds = 5
     ds = _case_dataset(case, rng, n_folds)
@@ -316,7 +297,6 @@ def test_scorer_matches_svd_reference_on_every_fold(case, kind, n_shuffles,
         estimator=EstimatorSpec(kind=kind, ridge_lambda=4.0 if kind == "ridge" else 0.0),
         cv=CvConfig(n_folds=n_folds, seed=derive_seed(seed, "cv")),
         perm_seed=derive_seed(seed, "perm"),
-        n_shuffles=n_shuffles,
         shuffle_aligned=shuffle_aligned,
     )
     # A random h; a stimulus itself, so d holds an exact 0; a point 1e3 away,
@@ -446,15 +426,14 @@ def test_gram_guard_passes_a_well_conditioned_stack_without_eigenvalues(de, monk
 
 def test_scorer_fold_paths_follow_the_eigenvalue_rule():
     # At a whole-dataset ratio of 1e-3 some folds' training rows fall on
-    # either side of the bound.  A shuffled aligned branch and two shuffles
-    # give three branches whose cells mix both paths; each cell's path must
+    # either side of the bound.  A shuffled aligned branch and the shuffled
+    # one give two branches whose cells mix both paths; each cell's path must
     # match the rule applied to its own standardized training rows, and its
     # RMSEs those of the SVD reference on that branch and fold.
     ds = _two_column_dataset(1e-3)
-    cfg = ScoreConfig(cv=CvConfig(n_folds=5, seed=1), perm_seed=2, n_shuffles=2,
-                      shuffle_aligned=True)
+    cfg = ScoreConfig(cv=CvConfig(n_folds=5, seed=1), perm_seed=2, shuffle_aligned=True)
     scorer = HypothesisScorer(ds, cfg)
-    assert scorer._paths.shape == (3, 5)
+    assert scorer._paths.shape == (2, 5)
     assert _paths(scorer) == {"gram", "svd"}
     for order, paths in zip(_branch_orders(cfg, ds.n), scorer._paths):
         for (train, _), path in zip(scorer.splits, paths):
@@ -469,9 +448,8 @@ def test_scorer_fold_paths_follow_the_eigenvalue_rule():
         assert rms[:, :, b] == pytest.approx(_reference_per_branch(ds, d[b], cfg), rel=1e-12)
 
 
-@pytest.mark.parametrize("n_shuffles", [1, 3])
 @pytest.mark.parametrize("shuffle_aligned", [False, True])
-def test_gram_build_factors_every_cell_in_one_pass(n_shuffles, shuffle_aligned, monkeypatch):
+def test_gram_build_factors_every_cell_in_one_pass(shuffle_aligned, monkeypatch):
     # One condition guard covers every (branch, fold) cell and no inverse is
     # formed; scoring solves every cell of the stack in one call.
     calls = {"_well_conditioned": 0, "inv": 0, "solve": 0}
@@ -487,10 +465,10 @@ def test_gram_build_factors_every_cell_in_one_pass(n_shuffles, shuffle_aligned, 
     monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
     monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
     ds, _ = tiny_dataset(seed=1, n_traj=12, de=20)
-    cfg = replace(fast_config(seed=1), n_shuffles=n_shuffles, shuffle_aligned=shuffle_aligned)
+    cfg = fast_config(seed=1, shuffle_aligned=shuffle_aligned)
     scorer = HypothesisScorer(ds, cfg)
     assert _paths(scorer) == {"gram"}
-    assert scorer._paths.shape == (1 + n_shuffles, cfg.cv.n_folds)
+    assert scorer._paths.shape == (2, cfg.cv.n_folds)
     assert calls == {"_well_conditioned": 1, "inv": 0, "solve": 0}
     H = np.random.default_rng(1).standard_normal((10, ds.stimulus_dim))
     d = np.linalg.norm(ds.stimuli[None] - H[:, None], axis=2)
@@ -514,11 +492,11 @@ def test_svd_build_factors_every_cell_in_one_call(kind, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counted)
     ds, _ = tiny_dataset(seed=1, n_traj=3, de=40)
-    cfg = replace(fast_config(seed=1, kind=kind), n_shuffles=2)
+    cfg = fast_config(seed=1, kind=kind)
     scorer = HypothesisScorer(ds, cfg)
     assert _paths(scorer) == {"svd"}
     n_train = scorer.splits[0][0].shape[0]
-    assert calls == [(3 * cfg.cv.n_folds, n_train, 40)]
+    assert calls == [(2 * cfg.cv.n_folds, n_train, 40)]
     H = np.random.default_rng(1).standard_normal((4, ds.stimulus_dim))
     d = np.linalg.norm(ds.stimuli[None] - H[:, None], axis=2)
     batch = scorer._rmses(d)
