@@ -3,12 +3,13 @@
 
 Runs the reference battery (cursor.reference.run_trial: ranking with
 target, controls, no-target comparator, CMA-ES recovery, control
-recoveries, label RMSE) over candidate noise levels, prints per-seed
-numbers, and writes reference_calibration.json next to this script.  The
-winning noise level is committed to cursor/reference.py; this script is the
-provenance for that choice and must not be re-tuned after the fact.
+recoveries, label RMSE) at the pinned configuration over candidate noise
+levels, prints per-seed numbers, and writes reference_calibration.json next
+to this script.  The winning noise level is committed to
+cursor/reference.py; this script is the provenance for that choice and must
+not be re-tuned after the fact.
 
-Usage: python3 scripts/calibrate_reference.py [--noises 3.0,4.0] [--trials 10]
+Usage: python3 scripts/calibrate_reference.py [--noises 3.0,4.0] [--trials 10] [--out NAME]
 """
 
 from __future__ import annotations
@@ -55,10 +56,6 @@ def main() -> int:
     ap.add_argument("--noises", default=None,
                     help="comma-separated noise levels (default: the pinned one)")
     ap.add_argument("--trials", type=int, default=REFERENCE["n_trials"])
-    ap.add_argument("--traj-dmax", type=float, default=None,
-                    help="override acquisition trajectory d_max")
-    ap.add_argument("--geometry", default=None,
-                    help="override trajectories x points, e.g. 1000x3")
     ap.add_argument("--out", default=None,
                     help="output JSON name (default reference_calibration.json)")
     args = ap.parse_args()
@@ -66,24 +63,15 @@ def main() -> int:
         noises = [REFERENCE["noise_sigma"]]
     else:
         noises = [float(tok) for tok in args.noises.split(",")]
-    geometry = {}
-    if args.traj_dmax is not None:
-        geometry["d_max"] = args.traj_dmax
-    if args.geometry:
-        traj, pts = args.geometry.lower().split("x")
-        geometry["trajectories"] = int(traj)
-        geometry["points"] = int(pts)
-    tag = " ".join(f"{k}={v}" for k, v in geometry.items())
 
-    out = {"reference": dict(REFERENCE), "geometry_overrides": geometry,
-           "candidates": {}}
+    out = {"reference": dict(REFERENCE), "candidates": {}}
     for noise in noises:
         model = reference_model(noise_sigma=noise)
         rows = []
         for trial in range(args.trials):
-            row, seconds = run_trial(trial, model, **geometry)
+            row, seconds = run_trial(trial, model)
             rows.append(row)
-            print(f"noise={noise} {tag} trial={trial}: "
+            print(f"noise={noise} trial={trial}: "
                   f"ols R={row['ols_r']:.3f} rank={row['ols_rank']} "
                   f"d_top={row['ols_d_top']:.2f} "
                   f"cmp={row['comparator_d_top']:.2f} "
@@ -93,7 +81,7 @@ def main() -> int:
                   f"({sum(seconds.values()):.0f}s)", flush=True)
         summary = summarize(rows)
         out["candidates"][f"{noise:g}"] = {"summary": summary, "trials": rows}
-        print(f"== noise={noise} {tag}: {json.dumps(summary, indent=2)}", flush=True)
+        print(f"== noise={noise}: {json.dumps(summary, indent=2)}", flush=True)
 
     name = args.out or "reference_calibration.json"
     path = Path(__file__).resolve().parent / name

@@ -36,7 +36,7 @@ from .estimators import KINDS, EstimatorSpec
 from .latent import SPACINGS
 from .optimize import trace_summary, trace_to_jsonl
 from .pca import save_pca
-from .ranking import build_hypothesis_set, rank_report
+from .ranking import rank_report
 from .scoring import ScoreConfig, report_to_json, score
 from .synth import LINK_KINDS
 from .experiments import (
@@ -45,6 +45,7 @@ from .experiments import (
     RANK_METRICS,
     aggregate,
     draw_dataset,
+    hypothesis_set,
     load_plan,
     plan_from_dict,
     rank_metrics,
@@ -289,22 +290,18 @@ def _load_data(opts: dict) -> StimulusResponseDataset:
     return load_dataset(path)
 
 
-def _scoring_sections(opts: dict) -> dict:
-    """The plan sections that the estimator flags set."""
-    return {
-        "estimators": [{
-            "kind": opts["estimator"],
-            "ridge_lambda": opts["ridge_lambda"],
-            "shuffle_aligned": bool(opts.get("shuffle_aligned", False)),
-        }],
-        "cv": {"n_folds": opts["folds"], "train_fraction": opts["train_fraction"]},
-    }
+def _cv_section(opts: dict) -> dict:
+    return {"n_folds": opts["folds"], "train_fraction": opts["train_fraction"]}
+
+
+def _hypothesis_section(opts: dict) -> dict:
+    return {"count": opts["L"], "d_max": opts["d_max"], "include_target": opts["include_target"]}
 
 
 def _score_config(opts: dict) -> ScoreConfig:
     seed = opts["seed"]
     return score_config(
-        _scoring_sections(opts),
+        _cv_section(opts),
         EstimatorSpec(kind=opts["estimator"], ridge_lambda=opts["ridge_lambda"]),
         bool(opts.get("shuffle_aligned", False)),
         derive_seed(seed, "cv"),
@@ -364,12 +361,13 @@ def _cmd_score(opts: dict, out: Path) -> str:
 def _sweep_plan(opts: dict, data: str) -> dict:
     return {
         "dataset": {"file": data},
-        **_scoring_sections(opts),
-        "hypothesis_set": {
-            "count": opts["L"],
-            "d_max": opts["d_max"],
-            "include_target": opts["include_target"],
-        },
+        "estimators": [{
+            "kind": opts["estimator"],
+            "ridge_lambda": opts["ridge_lambda"],
+            "shuffle_aligned": bool(opts.get("shuffle_aligned", False)),
+        }],
+        "cv": _cv_section(opts),
+        "hypothesis_set": _hypothesis_section(opts),
         "targets": 1,
         "replicates": opts["replicates"],
         "master_seed": opts["seed"],
@@ -386,15 +384,9 @@ def _cmd_rank(opts: dict, out: Path) -> str:
         return f"wrote sweep tables under {out}"
 
     ds = _load_data(opts)
-    if ds.truth is None:
-        raise ValueError("ranking requires a dataset with a hidden target")
-    seed = opts["seed"]
-    hset = build_hypothesis_set(
-        ds.truth.target, opts["L"], opts["d_max"],
-        derive_seed(seed, "hypothesis-set"), include_target=opts["include_target"],
-    )
-    cfg = _score_config(opts)
-    rep = rank_report(ds, hset, cfg)
+    hset = hypothesis_set(_hypothesis_section(opts), ds,
+                          derive_seed(opts["seed"], "hypothesis-set"))
+    rep = rank_report(ds, hset, _score_config(opts))
     row = {
         "estimator": opts["estimator"],
         "L": hset.size,

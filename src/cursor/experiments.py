@@ -29,7 +29,7 @@ from .estimators import KINDS, MIN_FOLDS, CvConfig, EstimatorSpec
 from .latent import ACQUISITION_D_MAX, SPACINGS, LatentPoint, as_point
 from .optimize import CmaConfig, recover_target
 from .pca import default_latent_k, default_response_k, pca_fit
-from .ranking import RankReport, build_hypothesis_set, rank_report
+from .ranking import HypothesisSet, RankReport, build_hypothesis_set, rank_report
 from .scoring import DENOM_FLOOR, ScoreConfig
 from .synth import LINK_KINDS, Link, generate_dataset, make_response_model
 from ._util import derive_rng, derive_seed
@@ -44,6 +44,7 @@ __all__ = [
     "aggregate",
     "default_size_ladder",
     "draw_dataset",
+    "hypothesis_set",
     "load_plan",
     "plan_from_dict",
     "plan_hash",
@@ -391,10 +392,9 @@ def _replicate_datasets(plan: ExperimentPlan) -> dict:
     return {(t, v): replicate_dataset(plan, t, v, model=model) for t, v in reps}
 
 
-def score_config(sections: dict, spec: EstimatorSpec, shuffle_aligned: bool,
+def score_config(cv: dict, spec: EstimatorSpec, shuffle_aligned: bool,
                  cv_seed: int, perm_seed: int) -> ScoreConfig:
     """The ScoreConfig of one cell, from a plan's "cv" section."""
-    cv = sections["cv"]
     return ScoreConfig(
         estimator=spec,
         cv=CvConfig(n_folds=cv["n_folds"], train_fraction=cv["train_fraction"], seed=cv_seed),
@@ -403,14 +403,13 @@ def score_config(sections: dict, spec: EstimatorSpec, shuffle_aligned: bool,
     )
 
 
-def _hypothesis_set(plan: ExperimentPlan, ds: StimulusResponseDataset, hset_seed: int):
+def hypothesis_set(section: dict, ds: StimulusResponseDataset, seed: int) -> HypothesisSet:
+    """The hypothesis set of a plan's "hypothesis_set" section, drawn from
+    seed around ds's hidden target."""
     if ds.truth is None:
-        raise ValueError("replicate dataset carries no hidden target")
-    hs = plan.raw["hypothesis_set"]
-    return build_hypothesis_set(
-        ds.truth.target, hs["count"], hs["d_max"], hset_seed,
-        include_target=hs["include_target"],
-    )
+        raise ValueError("ranking requires a dataset with a hidden target")
+    return build_hypothesis_set(ds.truth.target, section["count"], section["d_max"], seed,
+                                include_target=section["include_target"])
 
 
 # The metrics of one rank_report that sweep and ranking tables summarize.
@@ -459,8 +458,8 @@ def _sweep_cell(plan: ExperimentPlan, ds: StimulusResponseDataset, t: int, v: in
     seeds = replicate_seeds(plan, t, v, key)
     if size < ds.n:
         ds = subsample(ds, size, derive_seed(plan.master_seed, "subsample", t, v, size))
-    hset = _hypothesis_set(plan, ds, seeds["hypothesis_set"])
-    cfg = score_config(plan.raw, spec, shuffled, seeds["cv"], seeds["perm"])
+    hset = hypothesis_set(plan.raw["hypothesis_set"], ds, seeds["hypothesis_set"])
+    cfg = score_config(plan.raw["cv"], spec, shuffled, seeds["cv"], seeds["perm"])
     return SweepCell(target=t, variant=v, size=size, estimator=key,
                      report=rank_report(ds, hset, cfg))
 
@@ -570,11 +569,11 @@ def _ablation_cells(plan: ExperimentPlan, mode: str, full: StimulusResponseDatas
         full, ablated.n,
         derive_seed(plan.master_seed, "ablation-control", t, v, f"{thr:.6g}"),
     )
-    cfg = score_config(plan.raw, spec, shuffled, seeds["cv"], seeds["perm"])
+    cfg = score_config(plan.raw["cv"], spec, shuffled, seeds["cv"], seeds["perm"])
     cells = []
     for cond, ds in (("ablated", ablated), ("control", control)):
         if mode == "ranking":
-            hset = _hypothesis_set(plan, ds, seeds["hypothesis_set"])
+            hset = hypothesis_set(plan.raw["hypothesis_set"], ds, seeds["hypothesis_set"])
             result = {"report": rank_report(ds, hset, cfg)}
         else:
             zhat, trace, _, _ = recover(plan.raw["optimization"], ds, cfg, seeds["cma"])

@@ -7,11 +7,12 @@ calibration log with per-seed numbers lives in
 scripts/reference_calibration.json and the constants below must match it.
 
 The helpers here fix only a trial's seeds and plan sections.  The response
-model, dataset, score config and recovery come from the same
-cursor.experiments builders that plans and the CLI use, so run_trial, the
-one reference battery, runs the code of `cursor generate`, `optimize` and
-`ablate`: the calibration script writes its rows to that log, and the
-acceptance suite checks them against it.
+model, dataset, hypothesis sets, score config and recovery come from the
+same cursor.experiments builders that plans and the CLI use, so run_trial,
+the one reference battery, runs the code of `cursor generate`, `rank`,
+`optimize` and `ablate`: the calibration script writes its rows to that log,
+and the acceptance suite checks them against it.  The battery runs the
+pinned configuration only.
 
 Hypothesis sets keep the full uniform radius (hypothesis_d_max) even though
 acquisition trajectories stay close to the target: candidates are judged
@@ -29,14 +30,15 @@ from .estimators import EstimatorSpec
 from .experiments import (
     DEFAULT_PLAN,
     draw_dataset,
+    hypothesis_set,
     recover,
     recover_labels,
     response_model,
     score_config,
 )
-from .latent import ACQUISITION_D_MAX, LatentPoint
+from .latent import ACQUISITION_D_MAX
 from .pca import pca_inverse, pca_transform
-from .ranking import build_hypothesis_set, rank_report
+from .ranking import rank_report
 from .scoring import ScoreConfig
 from .synth import ResponseModel
 from ._util import derive_seed
@@ -44,7 +46,6 @@ from ._util import derive_seed
 __all__ = [
     "REFERENCE",
     "reference_dataset",
-    "reference_hypothesis_set",
     "reference_model",
     "reference_score_config",
     "run_trial",
@@ -99,15 +100,10 @@ def trial_seeds(trial: int) -> dict:
     }
 
 
-def reference_dataset(trial: int, model: ResponseModel | None = None,
-                      **overrides):
-    """(dataset, target) for one reference trial; fresh target and noise.
-
-    Keyword overrides (trajectories, points, d_max, ...) exist for the
-    calibration script only; committed consumers use the pinned values.
-    """
+def reference_dataset(trial: int, model: ResponseModel | None = None):
+    """(dataset, target) for one reference trial; fresh target and noise."""
     seeds = trial_seeds(trial)
-    ds = draw_dataset(_generator({**REFERENCE, **overrides}),
+    ds = draw_dataset(_generator(REFERENCE),
                       reference_model() if model is None else model,
                       [seeds["target"]], seeds["acquisition"])
     return ds, ds.truth.target
@@ -117,17 +113,8 @@ def reference_score_config(trial: int, kind: str = "ols",
                            shuffle_aligned: bool = False) -> ScoreConfig:
     seeds = trial_seeds(trial)
     cv = {"n_folds": REFERENCE["n_folds"], "train_fraction": REFERENCE["train_fraction"]}
-    return score_config({"cv": cv}, EstimatorSpec(kind=kind), shuffle_aligned,
+    return score_config(cv, EstimatorSpec(kind=kind), shuffle_aligned,
                         seeds["cv"], seeds["perm"])
-
-
-def reference_hypothesis_set(trial: int, target: LatentPoint,
-                             include_target: bool = True):
-    r = REFERENCE
-    return build_hypothesis_set(
-        target, r["hypothesis_count"], r["hypothesis_d_max"],
-        trial_seeds(trial)["hypothesis_set"], include_target=include_target,
-    )
 
 
 # label -> (estimator kind, shuffle_aligned): the OLS objective and its two
@@ -139,16 +126,13 @@ _CONDITIONS = {
 }
 
 
-def run_trial(trial: int, model: ResponseModel | None = None,
-              **geometry) -> tuple[dict, dict]:
+def run_trial(trial: int, model: ResponseModel | None = None) -> tuple[dict, dict]:
     """One trial of the reference battery behind acceptance criteria 6, 7 and 9.
 
     Ranks the with-target hypothesis set under OLS and both controls, ranks
     the no-target set under OLS as the comparator, recovers the target by
     CMA-ES over PCA-reduced coordinates under OLS and both controls, and
-    reconstructs the distance labels from each recovered point.  geometry
-    overrides reference_dataset's acquisition geometry (trajectories,
-    points, d_max) and is echoed in the row.
+    reconstructs the distance labels from each recovered point.
 
     Returns (row, seconds): row is the trial record of
     scripts/reference_calibration.json; seconds holds the wall time of
@@ -157,23 +141,27 @@ def run_trial(trial: int, model: ResponseModel | None = None,
     """
     model = reference_model() if model is None else model
     t0 = time.perf_counter()
-    ds, target = reference_dataset(trial, model=model, **geometry)
-    row = {"trial": trial, "noise_sigma": model.noise_sigma, **geometry}
+    ds, target = reference_dataset(trial, model=model)
+    row = {"trial": trial, "noise_sigma": model.noise_sigma}
 
     def config(label):
         kind, shuffled = _CONDITIONS[label]
         return reference_score_config(trial, kind=kind, shuffle_aligned=shuffled)
 
-    hset = reference_hypothesis_set(trial, target, include_target=True)
+    def hset(include_target):
+        section = {"count": REFERENCE["hypothesis_count"],
+                   "d_max": REFERENCE["hypothesis_d_max"], "include_target": include_target}
+        return hypothesis_set(section, ds, trial_seeds(trial)["hypothesis_set"])
+
+    with_target = hset(True)
     for label in _CONDITIONS:
-        rep = rank_report(ds, hset, config(label))
+        rep = rank_report(ds, with_target, config(label))
         row[f"{label}_r"] = rep.pearson_r
         row[f"{label}_rank"] = rep.target_rank
         row[f"{label}_d_top"] = rep.d_top_rank
     t_rank = time.perf_counter()
 
-    hset_wo = reference_hypothesis_set(trial, target, include_target=False)
-    rep_wo = rank_report(ds, hset_wo, config("ols"))
+    rep_wo = rank_report(ds, hset(False), config("ols"))
     row["comparator_d_top"] = rep_wo.d_top_rank
 
     for label in _CONDITIONS:

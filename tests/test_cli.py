@@ -19,7 +19,7 @@ import pytest
 
 from cursor import experiments
 from cursor.cli import _THREAD_VARS, COMMANDS, build_parser, main
-from cursor.dataset import load_dataset
+from cursor.dataset import dataset_from_arrays, load_dataset, save_dataset
 from cursor.experiments import load_plan, plan_hash
 
 GEN_ARGS = [
@@ -48,6 +48,15 @@ def data_dir(tmp_path_factory):
 @pytest.fixture(scope="module")
 def data_csv(data_dir):
     return str(data_dir / "dataset.csv")
+
+
+@pytest.fixture(scope="module")
+def bare_csv(tmp_path_factory, data_csv):
+    # the generated dataset without its hidden target
+    ds = load_dataset(data_csv)
+    path = tmp_path_factory.mktemp("bare") / "bare.csv"
+    save_dataset(dataset_from_arrays(ds.stimuli, ds.responses), path)
+    return str(path)
 
 
 def test_generate_outputs(data_dir, data_csv):
@@ -601,6 +610,12 @@ def test_ablate_duplicate_labels_fail_before_plan_json(tmp_path, capsys):
      "error: plan $.ablation_thresholds: [2.0, 2.0] has non-unique elements"),
     (["rank", "--data", "{data}", *RANK_ARGS, "--shuffles", "2"],
      "error: --shuffles 2 is not supported; S(h) uses one control permutation"),
+    (["rank", "--data", "{bare}", *RANK_ARGS],
+     "error: ranking requires a dataset with a hidden target"),
+    (["rank", "--data", "{bare}", *RANK_ARGS, "--sizes", "6"],
+     "error: ranking requires a dataset with a hidden target"),
+    (["ablate", "--data", "{bare}", *RANK_ARGS, "--thresholds", "1"],
+     "error: ablation requires a dataset with hidden truth"),
 ], ids=["ablate-plan-L", "ablate-plan-many", "ablate-plan-thresholds",
         "rank-replicates-without-sizes", "score-hypothesis-and-file", "rank-format",
         "recover-seed", "rank-sizes-above-n", "score-file-without-coords",
@@ -609,12 +624,13 @@ def test_ablate_duplicate_labels_fail_before_plan_json(tmp_path, capsys):
         "rank-d-max-nan", "rank-d-max-inf", "sweep-d-max-nan", "rank-d-max-huge",
         "sweep-d-max-huge", "ablate-d-max-huge", "score-hypothesis-huge",
         "sweep-zero-replicates", "sweep-repeated-size", "ablate-repeated-threshold",
-        "rank-two-shuffles"])
-def test_refused_options_write_nothing(tmp_path, data_csv, capsys, argv, needle):
+        "rank-two-shuffles", "rank-no-target", "sweep-no-target", "ablate-no-target"])
+def test_refused_options_write_nothing(tmp_path, data_csv, bare_csv, capsys, argv, needle):
     # a flag the chosen mode would ignore, a value it cannot use (NaN and inf
-    # included), a sweep size above N, or a hypothesis so far away that its
-    # distances overflow, is refused before any output, and leaves no output
-    # directory behind
+    # included), a sweep size above N, a hypothesis so far away that its
+    # distances overflow, or a ranking or ablation of a dataset with no hidden
+    # target, is refused before any output, and leaves no output directory
+    # behind
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({
         "dataset": {"file": data_csv}, "hypothesis_set": {"count": 6, "d_max": 8},
@@ -623,7 +639,7 @@ def test_refused_options_write_nothing(tmp_path, data_csv, capsys, argv, needle)
     hyp = tmp_path / "h.json"
     hyp.write_text(json.dumps({"coords": [0.0, 0.0, 0.0, 0.0]}))
     out = tmp_path / "out"
-    names = {"plan": plan, "data": data_csv, "h": hyp}
+    names = {"plan": plan, "data": data_csv, "h": hyp, "bare": bare_csv}
     assert main([a.format(**names) for a in argv] + ["-o", str(out)]) == 2
     err = capsys.readouterr().err
     assert needle.format(**names) in err
