@@ -6,9 +6,10 @@ fresh working directory, with relative paths, it runs in one process:
 `generate` twice (CSV; binary with a saturating link), then on the seed-41
 CSV dataset `score`, `rank`, `rank --sizes`, `ablate --data` (ranking mode),
 `ablate --plan` (optimization mode), `optimize`, `recover` and `report`;
-four refusals (`ablate` with both and with neither of --plan/--data,
-`report` without inputs, `rank --replicates` without --sizes); and `--help`
-of every command.
+`ablate --plan` (ranking mode) on a generator plan, whose plan.json carries
+the generator defaults; four refusals (`ablate` with both and with neither of
+--plan/--data, `report` without inputs, `rank --replicates` without --sizes);
+and `--help` of every command.
 
     PYTHONPATH=src OMP_NUM_THREADS=1 python scripts/cli_digest.py [--keep DIR]
 
@@ -49,6 +50,16 @@ PLAN = {
     "replicates": 1,
     "master_seed": 41,
 }
+PLAN_GEN = {
+    "dataset": {"generator": {"latent_dim": 6, "response_dim": 10, "trajectories": 4,
+                              "points": 5, "k_signal": 2, "nuisance_rank": 2, "d_max": 9}},
+    "hypothesis_set": {"count": 8, "d_max": 9},
+    "cv": {"n_folds": 3},
+    "ablation_thresholds": [1, 100],
+    "targets": 1,
+    "replicates": 1,
+    "master_seed": 41,
+}
 MATRIX = [
     [*GENERATE, "-o", "data"],
     [*GENERATE, "--link", "saturating", "--tau", "5", "--format", "bin", "-o", "data_bin"],
@@ -64,6 +75,7 @@ MATRIX = [
     ["recover", "--data", DATA, "--zhat", "optimize/zhat.json", "-o", "recover"],
     ["report", "rank", "sweep", "optimize", "ablate_ranking", "ablate_optimization",
      "-o", "report"],
+    ["ablate", "--plan", "plan_gen.json", "-o", "ablate_generator"],
     ["ablate", "--plan", "plan.json", "--data", DATA, "-o", "refused_both"],
     ["ablate", "-o", "refused_neither"],
     ["report", "-o", "refused_report"],
@@ -90,6 +102,7 @@ def digest(work: Path) -> tuple[str, list[dict]]:
     """Run the matrix in work, then hash its results and the tree it left."""
     acc = hashlib.sha256()
     (work / "plan.json").write_text(json.dumps(PLAN, indent=2, sort_keys=True))
+    (work / "plan_gen.json").write_text(json.dumps(PLAN_GEN, indent=2, sort_keys=True))
     log = []
     for argv in MATRIX:
         code, out, err = run(argv)

@@ -112,7 +112,8 @@ OPTIONS = {
     "train_fraction": (("--train-fraction",), DEFAULT_PLAN["cv"]["train_fraction"],
                        {"type": float}),
     "shuffles": (("--shuffles",), 1,
-                 {"type": int, "help": "number of control permutations averaged per fold"}),
+                 {"type": int,
+                  "help": "control permutations in the shuffled RMSE; only 1 is accepted"}),
     "shuffle_aligned": (("--shuffle-aligned",), _ESTIMATOR["shuffle_aligned"],
                         {"action": argparse.BooleanOptionalAction,
                          "help": "shuffle both branches (the always-shuffling control)"}),

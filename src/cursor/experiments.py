@@ -15,6 +15,7 @@ _map_jobs; every table row takes its rank metrics from rank_metrics.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import hashlib
@@ -77,26 +78,27 @@ PLAN_SCHEMA = {
                     "type": "object",
                     "additionalProperties": False,
                     "properties": {
-                        "latent_dim": {"type": "integer", "minimum": 1},
-                        "response_dim": {"type": "integer", "minimum": 1},
-                        "trajectories": {"type": "integer", "minimum": 1},
-                        "points": {"type": "integer", "minimum": 1},
-                        "k_signal": {"type": "integer", "minimum": 0},
-                        "signal_gain": {"type": "number", "minimum": 0},
-                        "noise_sigma": {"type": "number", "minimum": 0},
-                        "nuisance_rank": {"type": "integer", "minimum": 0},
-                        "nuisance_gain": {"type": "number", "minimum": 0},
+                        "latent_dim": {"type": "integer", "minimum": 1, "default": 32},
+                        "response_dim": {"type": "integer", "minimum": 1, "default": 64},
+                        "trajectories": {"type": "integer", "minimum": 1, "default": 30},
+                        "points": {"type": "integer", "minimum": 1, "default": 100},
+                        "k_signal": {"type": "integer", "minimum": 0, "default": 3},
+                        "signal_gain": {"type": "number", "minimum": 0, "default": 1.0},
+                        "noise_sigma": {"type": "number", "minimum": 0, "default": 1.0},
+                        "nuisance_rank": {"type": "integer", "minimum": 0, "default": 8},
+                        "nuisance_gain": {"type": "number", "minimum": 0, "default": 1.0},
                         "link": {
                             "type": "object",
                             "additionalProperties": False,
                             "properties": {
-                                "kind": {"enum": list(LINK_KINDS)},
-                                "tau": {"type": "number", "exclusiveMinimum": 0},
+                                "kind": {"enum": list(LINK_KINDS), "default": "linear"},
+                                "tau": {"type": "number", "exclusiveMinimum": 0, "default": 10.0},
                             },
                         },
-                        "d_min": {"type": "number", "minimum": 0},
-                        "d_max": {"type": "number", "exclusiveMinimum": 0},
-                        "spacing": {"enum": list(SPACINGS)},
+                        "d_min": {"type": "number", "minimum": 0, "default": 0.0},
+                        "d_max": {"type": "number", "exclusiveMinimum": 0,
+                                  "default": ACQUISITION_D_MAX},
+                        "spacing": {"enum": list(SPACINGS), "default": "logarithmic"},
                     },
                 },
             },
@@ -104,14 +106,15 @@ PLAN_SCHEMA = {
         "estimators": {
             "type": "array",
             "minItems": 1,
+            "default": [{"kind": "ols"}],
             "items": {
                 "type": "object",
                 "additionalProperties": False,
                 "required": ["kind"],
                 "properties": {
                     "kind": {"enum": list(KINDS)},
-                    "ridge_lambda": {"type": "number", "minimum": 0},
-                    "shuffle_aligned": {"type": "boolean"},
+                    "ridge_lambda": {"type": "number", "minimum": 0, "default": 0.0},
+                    "shuffle_aligned": {"type": "boolean", "default": False},
                     "label": {"type": "string", "minLength": 1},
                 },
             },
@@ -120,9 +123,9 @@ PLAN_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "count": {"type": "integer", "minimum": 2},
-                "d_max": {"type": "number", "exclusiveMinimum": 0},
-                "include_target": {"type": "boolean"},
+                "count": {"type": "integer", "minimum": 2, "default": 60},
+                "d_max": {"type": "number", "exclusiveMinimum": 0, "default": ACQUISITION_D_MAX},
+                "include_target": {"type": "boolean", "default": True},
             },
         },
         "sizes": {
@@ -130,31 +133,35 @@ PLAN_SCHEMA = {
             "items": {"type": "integer", "minimum": 1},
             "minItems": 1,
             "uniqueItems": True,
+            "default": None,
         },
         "ablation_thresholds": {
             "type": "array",
             "items": {"type": "number", "minimum": 0},
             "minItems": 1,
             "uniqueItems": True,
+            "default": [0.0, 2.0, 4.0, 8.0, 12.0],
         },
         "optimization": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "budget": {"type": "integer", "minimum": 1},
-                "bounds": {"type": "number", "exclusiveMinimum": 0},
-                "population_size": {"type": ["integer", "null"], "minimum": 2},
-                "sigma0": {"type": ["number", "null"], "exclusiveMinimum": 0},
-                "reduce_responses": {"type": ["integer", "null"], "minimum": 1},
-                "reduce_latents": {"type": ["integer", "null"], "minimum": 1},
+                "budget": {"type": "integer", "minimum": 1, "default": 1000},
+                "bounds": {"type": "number", "exclusiveMinimum": 0, "default": 15.0},
+                "population_size": {"type": ["integer", "null"], "minimum": 2, "default": None},
+                "sigma0": {"type": ["number", "null"], "exclusiveMinimum": 0, "default": None},
+                "reduce_responses": {"type": ["integer", "null"], "minimum": 1,
+                                     "default": None},
+                "reduce_latents": {"type": ["integer", "null"], "minimum": 1, "default": None},
             },
         },
         "cv": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "n_folds": {"type": "integer", "minimum": MIN_FOLDS},
-                "train_fraction": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+                "n_folds": {"type": "integer", "minimum": MIN_FOLDS, "default": 10},
+                "train_fraction": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1,
+                                   "default": 0.9},
             },
         },
         "scoring": {
@@ -163,68 +170,46 @@ PLAN_SCHEMA = {
             "properties": {
                 # Legacy keys, which older plans spell out; such plans still
                 # load, keep their hash, and score as they did.
-                "n_shuffles": {"const": 1},
+                "n_shuffles": {"const": 1, "default": 1},
                 "ratio_mode": {"const": "ratio_of_mean_rmses"},
                 "denom_floor": {"const": DENOM_FLOOR},
             },
         },
-        "targets": {"type": "integer", "minimum": 1},
-        "replicates": {"type": "integer", "minimum": 1},
-        "master_seed": {"type": "integer", "minimum": 0},
+        "targets": {"type": "integer", "minimum": 1, "default": 5},
+        "replicates": {"type": "integer", "minimum": 1, "default": 3},
+        "master_seed": {"type": "integer", "minimum": 0, "default": 0},
     },
 }
 
-DEFAULT_PLAN = {
-    "dataset": {
-        "generator": {
-            "latent_dim": 32,
-            "response_dim": 64,
-            "trajectories": 30,
-            "points": 100,
-            "k_signal": 3,
-            "signal_gain": 1.0,
-            "noise_sigma": 1.0,
-            "nuisance_rank": 8,
-            "nuisance_gain": 1.0,
-            "link": {"kind": "linear", "tau": 10.0},
-            "d_min": 0.0,
-            "d_max": ACQUISITION_D_MAX,
-            "spacing": "logarithmic",
-        }
-    },
-    "estimators": [{"kind": "ols", "ridge_lambda": 0.0, "shuffle_aligned": False}],
-    "hypothesis_set": {"count": 60, "d_max": ACQUISITION_D_MAX, "include_target": True},
-    "sizes": None,
-    "ablation_thresholds": [0.0, 2.0, 4.0, 8.0, 12.0],
-    "optimization": {
-        "budget": 1000,
-        "bounds": 15.0,
-        "population_size": None,
-        "sigma0": None,
-        "reduce_responses": None,
-        "reduce_latents": None,
-    },
-    "cv": {"n_folds": 10, "train_fraction": 0.9},
-    "scoring": {"n_shuffles": 1},
-    "targets": 5,
-    "replicates": 3,
-    "master_seed": 0,
-}
+
+def _with_defaults(schema: dict, value: dict) -> dict:
+    """value, an object that schema validates, with schema's defaults filled in.
+
+    A property that value leaves out takes a copy of its "default" annotation
+    (objects in an array default completed from the items schema); an object
+    property is filled in recursively, so a section left out gets its own
+    defaults.  The result shares no object with schema.
+    """
+    out = {}
+    for key, sub in schema["properties"].items():
+        if "properties" in sub:
+            out[key] = _with_defaults(sub, value.get(key, {}))
+        elif key in value:
+            out[key] = value[key]
+        elif "default" in sub:
+            default = copy.deepcopy(sub["default"])
+            if "properties" in sub.get("items", {}):
+                default = [_with_defaults(sub["items"], item) for item in default]
+            out[key] = default
+    return out
+
+
+DEFAULT_PLAN = _with_defaults(PLAN_SCHEMA, {})
 
 # Published size range spanned roughly two orders of magnitude; the default
 # ladder keeps the same end-to-end ratio scaled to the synthetic N.
 SIZE_LADDER_RATIO = 100.0 / 9234.0
 SIZE_LADDER_RUNGS = 6
-
-
-def _merge_defaults(raw: dict, defaults: dict) -> dict:
-    out = dict(defaults)
-    for key, val in raw.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge_defaults(val, out[key])
-        else:
-            out[key] = val
-    return out
 
 
 def plan_hash(resolved: dict) -> str:
@@ -249,7 +234,7 @@ class ExperimentPlan:
         error = best_match(validator_for(PLAN_SCHEMA)(PLAN_SCHEMA).iter_errors(self.raw))
         if error is not None:
             raise error
-        resolved = _merge_defaults(self.raw, DEFAULT_PLAN)
+        resolved = _with_defaults(PLAN_SCHEMA, self.raw)
         if "file" in resolved["dataset"] and "generator" in resolved["dataset"]:
             # defaults added a generator next to an explicit file source
             resolved["dataset"] = {"file": resolved["dataset"]["file"]}
@@ -282,8 +267,9 @@ class ExperimentPlan:
         """(key, spec, shuffle_aligned) per configured estimator."""
         out = []
         for ent in self.raw["estimators"]:
-            spec = EstimatorSpec(kind=ent["kind"], ridge_lambda=ent.get("ridge_lambda", 0.0))
-            shuffled = ent.get("shuffle_aligned", False)
+            ent = _with_defaults(PLAN_SCHEMA["properties"]["estimators"]["items"], ent)
+            spec = EstimatorSpec(kind=ent["kind"], ridge_lambda=ent["ridge_lambda"])
+            shuffled = ent["shuffle_aligned"]
             key = ent.get("label")
             if key is None:
                 key = spec.kind

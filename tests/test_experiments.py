@@ -104,6 +104,8 @@ def test_plan_schema_refusal_messages(raw, message):
 def test_defaults_fill_missing_sections():
     plan = plan_from_dict({})
     assert plan.raw == DEFAULT_PLAN
+    # the default plan is itself a valid plan, and resolves to itself
+    assert plan_from_dict(DEFAULT_PLAN).raw == DEFAULT_PLAN
     assert plan.targets == 5 and plan.replicates == 3
     # partial overrides keep sibling defaults
     plan = plan_from_dict({"cv": {"n_folds": 4}})
@@ -125,6 +127,21 @@ def test_plan_hash_is_stable_and_sensitive():
     assert int(a.hash, 16) >= 0
     c = tiny_plan(master_seed=6)
     assert c.hash != a.hash
+    # every table is stamped with these; a changed default would move them
+    assert plan_from_dict({}).hash == "e8740b6cd09a"
+    assert plan_from_dict({"dataset": {"file": "x.csv"}}).hash == "28b1abe93068"
+    raw = {"estimators": [{"kind": "ridge", "ridge_lambda": 2.0}], "cv": {"n_folds": 4}}
+    assert plan_from_dict(raw).hash == "ce067d4c66b1"
+
+
+def test_resolved_plans_share_no_objects_with_the_defaults():
+    plan = plan_from_dict({})
+    plan.raw["ablation_thresholds"].append(99.0)
+    plan.raw["dataset"]["generator"]["link"]["tau"] = 1.0
+    plan.raw["estimators"][0]["kind"] = "ridge"
+    fresh = plan_from_dict({})
+    assert fresh.raw == DEFAULT_PLAN
+    assert fresh.hash == "e8740b6cd09a"
 
 
 def test_estimator_entries_label_synthesis():
