@@ -196,6 +196,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The JSON types of a --config value, by its option's type (exact types: a
+# bool is no int), and the item type of an option that takes a list.
+_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
+_LIST_ITEMS = {_csv_ints: int, _csv_floats: float}
+
+
+def _check_config(dest: str, value) -> None:
+    """Refuse a --config value for dest that the option's flag could not give.
+
+    The type, choices and boolean action come from OPTIONS (whose only action
+    is BooleanOptionalAction); an int passes for a float, and null passes
+    where the option's default is null.
+    """
+    _, default, kwargs = OPTIONS[dest]
+    kind = bool if "action" in kwargs else kwargs.get("type", str)
+    if kind in _LIST_ITEMS or "nargs" in kwargs:
+        item = _LIST_ITEMS.get(kind, str)
+        ok = type(value) is list and all(type(v) in _JSON_TYPES[item] for v in value)
+        expected = f"a list of {item.__name__}"
+    else:
+        ok = type(value) in _JSON_TYPES[kind] and value in kwargs.get("choices", [value])
+        expected = (f"one of {', '.join(kwargs['choices'])}" if "choices" in kwargs
+                    else f"of type {kind.__name__}")
+    if not ok and not (value is None and default is None):
+        raise ValueError(f"--config key {dest!r}: {value!r} is not {expected}")
+
+
 def _ignored(opts: dict) -> tuple[str, tuple[str, ...]]:
     """The mode that opts selects, and the options that mode does not read."""
     command = opts["command"]
@@ -214,7 +241,8 @@ def _resolve(args: argparse.Namespace) -> dict:
     """defaults < --config file < explicit flags.
 
     An explicit flag that the chosen mode ignores is refused; a --config key
-    that the command does not read is ignored, so older manifests replay.
+    that the command does not read is ignored, so older manifests replay.  A
+    --config value is checked as its flag's would be (_check_config).
     """
     given = dict(vars(args))
     command = given.pop("command")
@@ -234,6 +262,8 @@ def _resolve(args: argparse.Namespace) -> dict:
     opts = {"command": command}
     for dest in COMMANDS[command][1]:
         opts[dest] = given[dest] if dest in given else config.get(dest, OPTIONS[dest][1])
+        if dest in config and dest not in given:
+            _check_config(dest, config[dest])
     # Older manifests name the formula and the number of control permutations;
     # S(h) has one of each, and a replay asking for another would score differently.
     if config.get("ratio_mode", "ratio_of_mean_rmses") != "ratio_of_mean_rmses":

@@ -9,8 +9,9 @@ Replicates follow a targets x variants design: each replicate cell draws its
 own hidden target and acquisition run from the shared generator config, so
 all cells have the same statistical properties but independent noise.
 
-Cells are plain functions bound with functools.partial and run in order by
-_map_jobs; every table row takes its rank metrics from rank_metrics.
+Each cell returns its table rows, and run_plan stamps and writes them; the
+cells run in order through _map_jobs, and every row takes its rank metrics
+from rank_metrics.
 """
 
 from __future__ import annotations
@@ -37,11 +38,9 @@ from ._util import derive_rng, derive_seed
 
 __all__ = [
     "ABLATION_METRICS",
-    "AblationCell",
     "ExperimentPlan",
     "PLAN_SCHEMA",
     "RANK_METRICS",
-    "SweepCell",
     "aggregate",
     "default_size_ladder",
     "draw_dataset",
@@ -52,7 +51,7 @@ __all__ = [
     "rank_metrics",
     "recover",
     "recover_labels",
-    "replicate_dataset",
+    "replicate_datasets",
     "replicate_seeds",
     "response_model",
     "run_ablation",
@@ -342,40 +341,23 @@ def draw_dataset(generator: dict, model, target_seeds,
     )
 
 
-def replicate_dataset(plan: ExperimentPlan, target_idx: int, variant_idx: int,
-                      model=None) -> StimulusResponseDataset:
-    """The single-target dataset for one replicate cell.
+def replicate_datasets(plan: ExperimentPlan) -> dict:
+    """The single-target dataset of every replicate cell, keyed by (target, variant).
 
-    File-sourced plans return the same dataset for every cell; generator
-    plans draw a fresh target per target index and fresh acquisition noise
-    per variant index, sharing one response model across all cells.
+    A file source is read once and is every cell's dataset.  A generator
+    draws a fresh target per target index and fresh acquisition noise per
+    variant index, and every cell shares one response model.
     """
-    src = plan.raw["dataset"]
-    if "file" in src:
-        return load_dataset(src["file"])
-    gen = src["generator"]
-    seeds = replicate_seeds(plan, target_idx, variant_idx)
-    if model is None:
-        model = response_model(gen, plan.master_seed)
-    return draw_dataset(gen, model, [seeds["target"]], seeds["dataset"])
-
-
-def _replicate_indices(plan: ExperimentPlan):
-    return [(t, v) for t in range(plan.targets) for v in range(plan.replicates)]
-
-
-def _replicate_datasets(plan: ExperimentPlan) -> dict:
-    """replicate_dataset of every replicate cell, keyed by (target, variant).
-
-    A file source is the same dataset for every cell, so it is read once.
-    """
-    reps = _replicate_indices(plan)
+    reps = [(t, v) for t in range(plan.targets) for v in range(plan.replicates)]
     src = plan.raw["dataset"]
     if "file" in src:
         ds = load_dataset(src["file"])
         return {rep: ds for rep in reps}
-    model = response_model(src["generator"], plan.master_seed)
-    return {(t, v): replicate_dataset(plan, t, v, model=model) for t, v in reps}
+    gen = src["generator"]
+    model = response_model(gen, plan.master_seed)
+    seeds = {rep: replicate_seeds(plan, *rep) for rep in reps}
+    return {rep: draw_dataset(gen, model, [s["target"]], s["dataset"])
+            for rep, s in seeds.items()}
 
 
 def score_config(cv: dict, spec: EstimatorSpec, shuffle_aligned: bool,
@@ -414,24 +396,6 @@ def default_size_ladder(n: int, n_folds: int) -> list[int]:
     return sizes
 
 
-@dataclass(frozen=True, eq=False)
-class SweepCell:
-    target: int
-    variant: int
-    size: int
-    estimator: str
-    report: RankReport
-
-    def row(self) -> dict:
-        return {
-            "target": self.target,
-            "variant": self.variant,
-            "size": self.size,
-            "estimator": self.estimator,
-            **rank_metrics(self.report),
-        }
-
-
 def _map_jobs(jobs):
     # A named function, not an inline loop: perfbench/tracer.py wraps this
     # name to time each cell (experiments.cells, experiments.cell_s_p50).
@@ -439,25 +403,25 @@ def _map_jobs(jobs):
 
 
 def _sweep_cell(plan: ExperimentPlan, ds: StimulusResponseDataset, t: int, v: int,
-                size: int, key: str, spec: EstimatorSpec, shuffled: bool) -> SweepCell:
-    """One estimator's ranking of replicate (t, v) at one size."""
+                size: int, key: str, spec: EstimatorSpec, shuffled: bool) -> dict:
+    """The row of one estimator's ranking of replicate (t, v) at one size."""
     seeds = replicate_seeds(plan, t, v, key)
     if size < ds.n:
         ds = subsample(ds, size, derive_seed(plan.master_seed, "subsample", t, v, size))
     hset = hypothesis_set(plan.raw["hypothesis_set"], ds, seeds["hypothesis_set"])
     cfg = score_config(plan.raw["cv"], spec, shuffled, seeds["cv"], seeds["perm"])
-    return SweepCell(target=t, variant=v, size=size, estimator=key,
-                     report=rank_report(ds, hset, cfg))
+    return {"target": t, "variant": v, "size": size, "estimator": key,
+            **rank_metrics(rank_report(ds, hset, cfg))}
 
 
-def run_size_sweep(plan: ExperimentPlan) -> list[SweepCell]:
-    """Rank-metric table over (size, estimator, replicate) cells.
+def run_size_sweep(plan: ExperimentPlan) -> list[dict]:
+    """Rank-metric rows over (size, estimator, replicate) cells.
 
     At size == N the cell is the plain unablated ranking run with the same
     derived seeds; smaller sizes evaluate a seeded uniform subsample.
     """
     n_folds = plan.raw["cv"]["n_folds"]
-    datasets = _replicate_datasets(plan)
+    datasets = replicate_datasets(plan)
     sizes = plan.raw["sizes"]
     jobs = []
     # Cells run only after every replicate's sizes are checked.
@@ -482,50 +446,20 @@ ABLATION_METRICS = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class AblationCell:
-    target: int
-    variant: int
-    threshold: float
-    condition: str  # "ablated" or "control"
-    size: int
-    estimator: str
-    mode: str  # "ranking" or "optimization"
-    status: str  # "ok" or "skipped"
-    report: RankReport | None = None
-    recovered_distance: float | None = None
-    best_score: float | None = None
-    evaluations: int | None = None
-
-    def row(self) -> dict:
-        return {
-            "target": self.target,
-            "variant": self.variant,
-            "threshold": self.threshold,
-            "condition": self.condition,
-            "size": self.size,
-            "estimator": self.estimator,
-            "mode": self.mode,
-            "status": self.status,
-            **rank_metrics(self.report),
-            "recovered_distance": self.recovered_distance,
-            "best_score": self.best_score,
-            "evaluations": self.evaluations,
-        }
+def _pca_ks(optimization: dict, ds: StimulusResponseDataset) -> tuple[int, int]:
+    """The response and latent PCA k of an "optimization" section, nulls set by ds's shape."""
+    k_e, k_z = optimization["reduce_responses"], optimization["reduce_latents"]
+    return (default_response_k(ds.response_dim) if k_e is None else k_e,
+            default_latent_k(ds.stimulus_dim) if k_z is None else k_z)
 
 
 def recover(optimization: dict, ds: StimulusResponseDataset, cfg: ScoreConfig, cma_seed: int):
     """CMA-ES recovery under a plan's "optimization" section.
 
-    Fits the response and latent PCAs on ds (reduce_responses and
-    reduce_latents default to default_response_k/default_latent_k) and
+    Fits the response and latent PCAs on ds, with k from _pca_ks, and
     returns (zhat, trace, pca_e, pca_z).
     """
-    k_e, k_z = optimization["reduce_responses"], optimization["reduce_latents"]
-    if k_e is None:
-        k_e = default_response_k(ds.response_dim)
-    if k_z is None:
-        k_z = default_latent_k(ds.stimulus_dim)
+    k_e, k_z = _pca_ks(optimization, ds)
     pca_e = pca_fit(ds.responses, k_e)
     pca_z = pca_fit(ds.stimuli, k_z)
     cma = CmaConfig(
@@ -541,58 +475,72 @@ def recover(optimization: dict, ds: StimulusResponseDataset, cfg: ScoreConfig, c
     return zhat, trace, pca_e, pca_z
 
 
-def _ablation_cells(plan: ExperimentPlan, mode: str, full: StimulusResponseDataset,
+def _ablation_cells(plan: ExperimentPlan, mode: str, need: int, full: StimulusResponseDataset,
                     t: int, v: int, thr: float, key: str, spec: EstimatorSpec,
-                    shuffled: bool) -> list[AblationCell]:
-    """The ablated and the control cell of replicate (t, v) at one threshold."""
-    cell = partial(AblationCell, target=t, variant=v, threshold=thr, estimator=key, mode=mode)
-    seeds = replicate_seeds(plan, t, v, key)
+                    shuffled: bool) -> list[dict]:
+    """The rows of the ablated and the control cell of replicate (t, v) at one
+    threshold, or two skipped rows when it leaves fewer than need rows."""
+    def row(condition, size, status, report=None, distance=None, best=None, evaluations=None):
+        return {"target": t, "variant": v, "threshold": thr, "condition": condition,
+                "size": size, "estimator": key, "mode": mode, "status": status,
+                **rank_metrics(report), "recovered_distance": distance,
+                "best_score": best, "evaluations": evaluations}
+
     try:
         ablated = ablate_near_target(full, thr)
-    except ValueError:
-        return [cell(condition=cond, size=0, status="skipped") for cond in ("ablated", "control")]
-    control = subsample(
-        full, ablated.n,
-        derive_seed(plan.master_seed, "ablation-control", t, v, f"{thr:.6g}"),
-    )
+    except ValueError:  # the threshold removes every row
+        ablated = None
+    kept = 0 if ablated is None else ablated.n
+    if kept < need:
+        return [row(cond, kept, "skipped") for cond in ("ablated", "control")]
+    control = subsample(full, kept, derive_seed(plan.master_seed, "ablation-control", t, v,
+                                                f"{thr:.6g}"))
+    seeds = replicate_seeds(plan, t, v, key)
     cfg = score_config(plan.raw["cv"], spec, shuffled, seeds["cv"], seeds["perm"])
-    cells = []
+    rows = []
     for cond, ds in (("ablated", ablated), ("control", control)):
         if mode == "ranking":
             hset = hypothesis_set(plan.raw["hypothesis_set"], ds, seeds["hypothesis_set"])
-            result = {"report": rank_report(ds, hset, cfg)}
+            rows.append(row(cond, ds.n, "ok", report=rank_report(ds, hset, cfg)))
         else:
             zhat, trace, _, _ = recover(plan.raw["optimization"], ds, cfg, seeds["cma"])
             dist = float(np.linalg.norm(zhat.coords - full.truth.target.coords))
-            result = {"recovered_distance": dist, "best_score": trace.best_score,
-                      "evaluations": len(trace.evaluations)}
-        cells.append(cell(condition=cond, size=ds.n, status="ok", **result))
-    return cells
+            rows.append(row(cond, ds.n, "ok", distance=dist, best=trace.best_score,
+                            evaluations=len(trace.evaluations)))
+    return rows
 
 
-def run_ablation(plan: ExperimentPlan, mode: str = "ranking") -> list[AblationCell]:
-    """Paired near-target-ablation vs size-matched-control table.
+def run_ablation(plan: ExperimentPlan, mode: str = "ranking") -> list[dict]:
+    """Rows of the paired near-target ablation and its size-matched control.
 
     For each threshold the ablated dataset drops every point closer to the
     hidden target than the threshold; the control uniformly subsamples the
     full dataset down to exactly the ablated size, and both are evaluated
-    with identical seeds.  Thresholds that ablate everything are recorded
-    as skipped rather than failing the run.
+    with identical seeds.  A ranking cell needs at least max(n_folds, 2)
+    rows, and an optimization cell also at least the k of the response and
+    of the latent PCA.  A full dataset with fewer rows is refused; a
+    threshold that leaves fewer is recorded as two skipped rows, whose size
+    is the rows left, rather than failing the run.
     """
     if mode not in ABLATION_METRICS:
         raise ValueError("mode must be 'ranking' or 'optimization'")
-    datasets = _replicate_datasets(plan)
+    datasets = replicate_datasets(plan)
     if any(ds.truth is None for ds in datasets.values()):
         raise ValueError("ablation requires a dataset with hidden truth")
-
-    jobs = [partial(_ablation_cells, plan, mode, full, t, v, float(thr), key, spec, shuffled)
+    # the fewest rows that cross-validation (and in optimization mode, both
+    # PCAs) can use; every replicate dataset has the same shape
+    first = next(iter(datasets.values()))
+    need = max(plan.raw["cv"]["n_folds"], 2)
+    if mode == "optimization":
+        need = max(need, *_pca_ks(plan.raw["optimization"], first))
+    if first.n < need:
+        raise ValueError(f"ablation needs at least {need} rows, got {first.n}")
+    jobs = [partial(_ablation_cells, plan, mode, need, full, t, v, float(thr), key, spec,
+                    shuffled)
             for (t, v), full in datasets.items()
             for thr in plan.raw["ablation_thresholds"]
             for key, spec, shuffled in plan.estimator_entries()]
-    out = []
-    for pair in _map_jobs(jobs):
-        out.extend(pair)
-    return out
+    return [row for pair in _map_jobs(jobs) for row in pair]
 
 
 def recover_labels(ds: StimulusResponseDataset, zhat) -> tuple[np.ndarray, dict | None]:
@@ -675,12 +623,6 @@ def write_jsonl(records: list[dict], path) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def _stamp_rows(plan: ExperimentPlan, rows: list[dict]) -> list[dict]:
-    # every emitted table identifies its plan and seed
-    head = {"plan_hash": plan.hash, "master_seed": plan.master_seed}
-    return [{**head, **row} for row in rows]
-
-
 def run_plan(plan: ExperimentPlan, out_dir, kinds: tuple[str, ...] = ("sweep",),
              ablation_mode: str = "ranking") -> dict:
     """Execute the requested plan sections and write tables under out_dir.
@@ -688,30 +630,29 @@ def run_plan(plan: ExperimentPlan, out_dir, kinds: tuple[str, ...] = ("sweep",),
     Emits per-cell CSV + JSON-lines detail plus a mean/std summary per
     condition.  Returns {section: list of row dicts}.
     """
-    sweep = run_size_sweep(plan) if "sweep" in kinds else None
-    ablation = run_ablation(plan, mode=ablation_mode) if "ablation" in kinds else None
+    sections = {}  # name -> (rows, summary groups, summary metrics)
+    if "sweep" in kinds:
+        sections["sweep"] = (run_size_sweep(plan), ("size", "estimator"), RANK_METRICS)
+    if "ablation" in kinds:
+        sections["ablation"] = (run_ablation(plan, mode=ablation_mode),
+                                ("threshold", "condition", "estimator"),
+                                ABLATION_METRICS[ablation_mode])
     # Nothing is written until every section has run, so a plan that a
     # section refuses (sizes above N, say) leaves no plan.json behind.
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "plan.json", "w", encoding="utf-8") as fh:
         json.dump(plan.raw, fh, indent=2, sort_keys=True)
+    # every emitted table identifies its plan and seed
+    head = {"plan_hash": plan.hash, "master_seed": plan.master_seed}
     results = {}
-    if sweep is not None:
-        rows = _stamp_rows(plan, [c.row() for c in sweep])
-        write_table(rows, out_dir / "sweep.csv")
-        write_jsonl(rows, out_dir / "sweep_rows.jsonl")
-        summary = aggregate(rows, ("size", "estimator"), RANK_METRICS)
-        write_table(_stamp_rows(plan, summary), out_dir / "sweep_summary.csv")
-        results["sweep"] = rows
-    if ablation is not None:
-        rows = _stamp_rows(plan, [c.row() for c in ablation])
-        write_table(rows, out_dir / "ablation.csv")
-        write_jsonl(rows, out_dir / "ablation_rows.jsonl")
-        ok = [r for r in rows if r["status"] == "ok"]
+    for name, (rows, groups, metrics) in sections.items():
+        rows = results[name] = [{**head, **row} for row in rows]
+        write_table(rows, out_dir / f"{name}.csv")
+        write_jsonl(rows, out_dir / f"{name}_rows.jsonl")
+        # skipped ablation cells have no metrics to summarize
+        ok = [r for r in rows if r.get("status", "ok") == "ok"]
         if ok:
-            summary = aggregate(ok, ("threshold", "condition", "estimator"),
-                                ABLATION_METRICS[ablation_mode])
-            write_table(_stamp_rows(plan, summary), out_dir / "ablation_summary.csv")
-        results["ablation"] = rows
+            summary = [{**head, **row} for row in aggregate(ok, groups, metrics)]
+            write_table(summary, out_dir / f"{name}_summary.csv")
     return results

@@ -358,11 +358,24 @@ def test_table_headers(tmp_path, data_csv):
                                 "recovered_distance", "best_score", "evaluations"],
         "ablate/ablation_summary.csv": [*stamp, "threshold", "condition", "estimator", "n",
                                         *summary],
+        "ablate_opt/ablation_summary.csv": [
+            *stamp, "threshold", "condition", "estimator", "n",
+            *[f"{m}_{stat}" for m in ("recovered_distance", "best_score")
+              for stat in ("mean", "std")]],
     }
+    # every ablation.csv has the same columns: ranking or optimization mode,
+    # cells run or skipped
+    for run in ("ablate_opt", "ablate_skipped"):
+        expected[f"{run}/ablation.csv"] = expected["ablate/ablation.csv"]
     assert rank_run(data_csv, tmp_path / "rank") == 0
     assert rank_run(data_csv, tmp_path / "sweep", ("--sizes", "12")) == 0
     assert main(["ablate", "--data", data_csv, *RANK_ARGS, "--thresholds", "0",
                  "-o", str(tmp_path / "ablate")]) == 0
+    assert main(["ablate", "--data", data_csv, "--mode", "optimization", "--budget", "12",
+                 "--folds", "3", "--thresholds", "0", "-o", str(tmp_path / "ablate_opt")]) == 0
+    assert main(["ablate", "--data", data_csv, *RANK_ARGS, "--thresholds", "1e6",
+                 "-o", str(tmp_path / "ablate_skipped")]) == 0
+    assert not (tmp_path / "ablate_skipped" / "ablation_summary.csv").exists()
     for name, columns in expected.items():
         header = (tmp_path / name).read_text().splitlines()[0]
         assert header == ",".join(columns), name
@@ -616,6 +629,16 @@ def test_ablate_duplicate_labels_fail_before_plan_json(tmp_path, capsys):
      "error: ranking requires a dataset with a hidden target"),
     (["ablate", "--data", "{bare}", *RANK_ARGS, "--thresholds", "1"],
      "error: ablation requires a dataset with hidden truth"),
+    (["ablate", "--data", "{data}", "--L", "6", "--d-max", "8", "--folds", "40"],
+     "error: ablation needs at least 40 rows, got 12"),
+    (["score", "--data", "{data}", "--hypothesis", "0,0,0,0", "--folds", "3",
+      "--config", "{bool_config}"],
+     "error: --config key 'shuffle_aligned': 'false' is not of type bool"),
+    ([*GEN_ARGS, "--config", "{choice_config}"],
+     "error: --config key 'format': 'xml' is not one of csv, bin"),
+    (["rank", "--data", "{data}", "--L", "6", "--d-max", "8", "--folds", "3",
+      "--config", "{type_config}"],
+     "error: --config key 'seed': '3' is not of type int"),
 ], ids=["ablate-plan-L", "ablate-plan-many", "ablate-plan-thresholds",
         "rank-replicates-without-sizes", "score-hypothesis-and-file", "rank-format",
         "recover-seed", "rank-sizes-above-n", "score-file-without-coords",
@@ -624,13 +647,16 @@ def test_ablate_duplicate_labels_fail_before_plan_json(tmp_path, capsys):
         "rank-d-max-nan", "rank-d-max-inf", "sweep-d-max-nan", "rank-d-max-huge",
         "sweep-d-max-huge", "ablate-d-max-huge", "score-hypothesis-huge",
         "sweep-zero-replicates", "sweep-repeated-size", "ablate-repeated-threshold",
-        "rank-two-shuffles", "rank-no-target", "sweep-no-target", "ablate-no-target"])
+        "rank-two-shuffles", "rank-no-target", "sweep-no-target", "ablate-no-target",
+        "ablate-too-few-rows", "config-string-for-bool", "config-unknown-choice",
+        "config-string-for-int"])
 def test_refused_options_write_nothing(tmp_path, data_csv, bare_csv, capsys, argv, needle):
     # a flag the chosen mode would ignore, a value it cannot use (NaN and inf
-    # included), a sweep size above N, a hypothesis so far away that its
-    # distances overflow, or a ranking or ablation of a dataset with no hidden
-    # target, is refused before any output, and leaves no output directory
-    # behind
+    # included), a --config value its flag could not give, a sweep size above
+    # N, an ablation of a dataset too small for any cell, a hypothesis so far
+    # away that its distances overflow, or a ranking or ablation of a dataset
+    # with no hidden target, is refused before any output, and leaves no
+    # output directory behind
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({
         "dataset": {"file": data_csv}, "hypothesis_set": {"count": 6, "d_max": 8},
@@ -640,6 +666,11 @@ def test_refused_options_write_nothing(tmp_path, data_csv, bare_csv, capsys, arg
     hyp.write_text(json.dumps({"coords": [0.0, 0.0, 0.0, 0.0]}))
     out = tmp_path / "out"
     names = {"plan": plan, "data": data_csv, "h": hyp, "bare": bare_csv}
+    configs = {"bool": {"shuffle_aligned": "false"}, "choice": {"format": "xml"},
+               "type": {"seed": "3"}}
+    for kind, config in configs.items():
+        names[f"{kind}_config"] = tmp_path / f"{kind}.json"
+        names[f"{kind}_config"].write_text(json.dumps(config))
     assert main([a.format(**names) for a in argv] + ["-o", str(out)]) == 2
     err = capsys.readouterr().err
     assert needle.format(**names) in err
@@ -684,6 +715,9 @@ def test_manifest_options_are_the_table_options(tmp_path, data_csv, optimize_dir
                if isinstance(a, argparse._SubParsersAction))
     parsed = {a.dest for a in sub.choices[command]._actions} - {"help", "config"}
     assert parsed == dests
+    # every recorded value passes the --config check, so the manifest replays
+    assert main([command, "--config", str(tmp_path / "manifest.json"),
+                 "-o", str(tmp_path / "again")]) == 0
 
 
 def test_report_merges_rank_runs(tmp_path, data_csv):

@@ -1,6 +1,7 @@
 """Tests for experiment plans, sweeps, ablations, and aggregation."""
 
 import csv
+import inspect
 import json
 
 import jsonschema
@@ -18,7 +19,7 @@ from cursor.experiments import (
     plan_from_dict,
     plan_hash,
     recover_labels,
-    replicate_dataset,
+    replicate_datasets,
     replicate_seeds,
     run_ablation,
     run_plan,
@@ -26,8 +27,10 @@ from cursor.experiments import (
     write_jsonl,
     write_table,
 )
+from cursor.optimize import CmaConfig
 from cursor.ranking import build_hypothesis_set, rank_report
 from cursor.scoring import ScoreConfig
+from cursor.synth import Link, generate_dataset, make_response_model
 
 TINY_GENERATOR = {
     "latent_dim": 4,
@@ -114,6 +117,33 @@ def test_defaults_fill_missing_sections():
     assert plan.raw["dataset"]["generator"]["latent_dim"] == 32
 
 
+def _keyword_defaults(fn) -> dict:
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items()
+            if p.default is not inspect.Parameter.empty}
+
+
+def test_library_defaults_are_the_plan_defaults():
+    # one set of defaults: a library call that leaves an argument out gets
+    # the value a plan that leaves the key out gets
+    gen, cv = DEFAULT_PLAN["dataset"]["generator"], DEFAULT_PLAN["cv"]
+    est, opt = DEFAULT_PLAN["estimators"][0], DEFAULT_PLAN["optimization"]
+    assert CvConfig() == CvConfig(n_folds=cv["n_folds"], train_fraction=cv["train_fraction"])
+    assert EstimatorSpec() == EstimatorSpec(kind=est["kind"], ridge_lambda=est["ridge_lambda"])
+    assert Link() == Link(**gen["link"])
+    cma = CmaConfig(dim=1)
+    assert (cma.bounds_lo, cma.bounds_hi) == (-opt["bounds"], opt["bounds"])
+    assert (cma.max_evaluations, cma.population_size, cma.sigma0) == (
+        opt["budget"], opt["population_size"], opt["sigma0"])
+    model = _keyword_defaults(make_response_model)
+    keys = ("k_signal", "signal_gain", "noise_sigma", "nuisance_rank", "nuisance_gain")
+    assert {k: model[k] for k in keys} == {k: gen[k] for k in keys}
+    assert model["link"] is None  # Link(), checked above
+    keys = ("d_min", "d_max", "spacing")
+    assert _keyword_defaults(generate_dataset) == {k: gen[k] for k in keys}
+    assert (_keyword_defaults(build_hypothesis_set)["include_target"]
+            == DEFAULT_PLAN["hypothesis_set"]["include_target"])
+
+
 def test_file_source_suppresses_generator_defaults():
     plan = plan_from_dict({"dataset": {"file": "runs/data.csv"}})
     assert plan.raw["dataset"] == {"file": "runs/data.csv"}
@@ -175,18 +205,23 @@ def test_replicate_seeds_keyed_by_indices():
 
 def test_replicate_dataset_layout_and_determinism():
     plan = tiny_plan(targets=2, replicates=2)
-    a = replicate_dataset(plan, 0, 0)
-    b = replicate_dataset(plan, 0, 0)
+    datasets = replicate_datasets(plan)
+    assert list(datasets) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    a = datasets[0, 0]
+    b = replicate_datasets(plan)[0, 0]
     assert a.n == 12 and a.stimulus_dim == 4 and a.response_dim == 8
     np.testing.assert_array_equal(a.stimuli, b.stimuli)
     np.testing.assert_array_equal(a.responses, b.responses)
     # same target across variants, fresh acquisition noise
-    v1 = replicate_dataset(plan, 0, 1)
+    v1 = datasets[0, 1]
     np.testing.assert_array_equal(v1.truth.target.coords, a.truth.target.coords)
     assert not np.array_equal(v1.responses, a.responses)
     # fresh target across target indices
-    t1 = replicate_dataset(plan, 1, 0)
+    t1 = datasets[1, 0]
     assert not np.array_equal(t1.truth.target.coords, a.truth.target.coords)
+    # a cell's dataset does not depend on how many cells the plan has
+    single = replicate_datasets(tiny_plan())[0, 0]
+    np.testing.assert_array_equal(single.responses, a.responses)
 
 
 def test_default_size_ladder_shape():
@@ -203,29 +238,26 @@ def test_default_size_ladder_shape():
 
 def test_sweep_full_size_cell_matches_plain_ranking_run():
     plan = tiny_plan(sizes=[8, 12])
-    cells = run_size_sweep(plan)
-    assert [(c.size, c.estimator) for c in cells] == [(8, "ols"), (12, "ols")]
-    ds_full = replicate_dataset(plan, 0, 0)
+    rows = run_size_sweep(plan)
+    assert [(r["size"], r["estimator"]) for r in rows] == [(8, "ols"), (12, "ols")]
+    ds_full = replicate_datasets(plan)[0, 0]
     seeds = replicate_seeds(plan, 0, 0, "ols")
     cfg = ScoreConfig(
         estimator=EstimatorSpec(kind="ols"),
         cv=CvConfig(n_folds=3, train_fraction=0.75, seed=seeds["cv"]),
         perm_seed=seeds["perm"],
     )
-    for cell in cells:
+    for row in rows:
         ds = ds_full
-        if cell.size < ds_full.n:
-            sub_seed = derive_seed(plan.master_seed, "subsample", 0, 0, cell.size)
-            ds = subsample(ds_full, cell.size, sub_seed)
+        if row["size"] < ds_full.n:
+            sub_seed = derive_seed(plan.master_seed, "subsample", 0, 0, row["size"])
+            ds = subsample(ds_full, row["size"], sub_seed)
         hset = build_hypothesis_set(ds.truth.target, 6, 8.0,
                                     seeds["hypothesis_set"], include_target=True)
         rep = rank_report(ds, hset, cfg)
-        assert cell.report.scores == rep.scores
-        assert cell.report.pearson_r == rep.pearson_r
-        assert cell.report.target_rank == rep.target_rank
-        assert cell.report.d_top_rank == rep.d_top_rank
-        row = cell.row()
-        assert row["size"] == cell.size and row["pearson_r"] == rep.pearson_r
+        assert row == {"target": 0, "variant": 0, "size": row["size"], "estimator": "ols",
+                       "pearson_r": rep.pearson_r, "target_rank": rep.target_rank,
+                       "d_top_rank": rep.d_top_rank}
 
 
 def test_sweep_size_validation():
@@ -237,39 +269,46 @@ def test_sweep_size_validation():
 
 def test_sweep_deterministic():
     plan = tiny_plan(replicates=2, sizes=[10, 12])
-    first = run_size_sweep(plan)
-    again = run_size_sweep(plan)
-    assert [c.row() for c in first] == [c.row() for c in again]
-    assert [c.report.scores for c in first] == [c.report.scores for c in again]
+    assert run_size_sweep(plan) == run_size_sweep(plan)
 
 
 def test_ablation_zero_threshold_pairs_identical():
     plan = tiny_plan(ablation_thresholds=[0.0])
-    cells = run_ablation(plan, mode="ranking")
-    assert len(cells) == 2
-    by_cond = {c.condition: c for c in cells}
+    rows = run_ablation(plan, mode="ranking")
+    assert len(rows) == 2
+    by_cond = {r["condition"]: r for r in rows}
     assert set(by_cond) == {"ablated", "control"}
-    full_n = replicate_dataset(plan, 0, 0).n
-    for cell in cells:
-        assert cell.status == "ok"
-        assert cell.size == full_n
-        assert cell.mode == "ranking"
+    full_n = replicate_datasets(plan)[0, 0].n
+    for row in rows:
+        assert row["status"] == "ok"
+        assert row["size"] == full_n
+        assert row["mode"] == "ranking"
     # threshold 0 ablates nothing and the size-matched control is the full set
-    assert by_cond["ablated"].report.scores == by_cond["control"].report.scores
-    rows = [c.row() for c in cells]
-    assert all(set(rows[0]) == set(r) for r in rows)
+    ablated, control = by_cond["ablated"], by_cond["control"]
+    for metric in ("pearson_r", "target_rank", "d_top_rank"):
+        assert ablated[metric] == control[metric]
+    assert list(ablated) == list(control)
 
 
 def test_ablation_impossible_threshold_is_skipped():
-    plan = tiny_plan(ablation_thresholds=[1e6])
-    cells = run_ablation(plan, mode="ranking")
-    assert len(cells) == 2
-    for cell in cells:
-        assert cell.status == "skipped"
-        assert cell.size == 0
-        assert cell.report is None
-        row = cell.row()
-        assert row["pearson_r"] is None and row["target_rank"] is None
+    # 1e6 leaves no row; the largest distance leaves 4, too few for five folds
+    # (ranking) or for a response PCA of k=5 (optimization)
+    full = replicate_datasets(tiny_plan())[0, 0]
+    far = float(np.max(full.truth.distances))
+    assert np.count_nonzero(full.truth.distances >= far) == 4
+    for mode, n_folds, k_e in (("ranking", 5, None), ("optimization", 3, 5)):
+        plan = tiny_plan(ablation_thresholds=[0.0, 1e6, far],
+                         cv={"n_folds": n_folds, "train_fraction": 0.75},
+                         optimization={"budget": 12, "reduce_responses": k_e,
+                                       "reduce_latents": 2})
+        rows = run_ablation(plan, mode=mode)
+        assert [(r["threshold"], r["status"]) for r in rows] == [
+            (0.0, "ok"), (0.0, "ok"), (1e6, "skipped"), (1e6, "skipped"),
+            (far, "skipped"), (far, "skipped")], mode
+        assert [r["size"] for r in rows] == [12, 12, 0, 0, 4, 4]
+        for row in rows[2:]:
+            assert row["pearson_r"] is None and row["target_rank"] is None
+            assert row["recovered_distance"] is None and row["evaluations"] is None
 
 
 def test_ablation_mode_validation():
@@ -283,20 +322,18 @@ def test_ablation_optimization_mode():
         optimization={"budget": 16, "bounds": 10.0,
                       "reduce_responses": 2, "reduce_latents": 2},
     )
-    cells = run_ablation(plan, mode="optimization")
-    assert len(cells) == 2
-    for cell in cells:
-        assert cell.status == "ok" and cell.mode == "optimization"
-        assert cell.report is None
-        assert cell.evaluations == 16
-        assert np.isfinite(cell.best_score)
-        assert cell.recovered_distance >= 0.0
-        row = cell.row()
-        assert row["recovered_distance"] == cell.recovered_distance
+    rows = run_ablation(plan, mode="optimization")
+    assert len(rows) == 2
+    for row in rows:
+        assert row["status"] == "ok" and row["mode"] == "optimization"
+        assert row["pearson_r"] is None
+        assert row["evaluations"] == 16
+        assert np.isfinite(row["best_score"])
+        assert row["recovered_distance"] >= 0.0
 
 
 def test_recover_labels_bound_and_exactness():
-    ds = replicate_dataset(tiny_plan(), 0, 0)
+    ds = replicate_datasets(tiny_plan())[0, 0]
     target = ds.truth.target.coords
     d_hat, info = recover_labels(ds, target)
     np.testing.assert_allclose(d_hat, ds.truth.distances, atol=1e-12)
@@ -311,7 +348,7 @@ def test_recover_labels_bound_and_exactness():
 
 
 def test_recover_labels_without_truth_and_bad_dim():
-    ds = replicate_dataset(tiny_plan(), 0, 0)
+    ds = replicate_datasets(tiny_plan())[0, 0]
     bare = dataset_from_arrays(ds.stimuli, ds.responses)
     d_hat, info = recover_labels(bare, np.zeros(4))
     assert info is None
