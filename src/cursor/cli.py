@@ -34,7 +34,7 @@ import numpy as np  # noqa: E402  (after the thread choice above)
 from .dataset import StimulusResponseDataset, load_dataset, save_dataset
 from .estimators import KINDS, EstimatorSpec
 from .latent import SPACINGS
-from .optimize import trace_summary, trace_to_jsonl
+from .optimize import OptimizationTrace, trace_summary, trace_to_jsonl
 from .pca import save_pca
 from .ranking import rank_report
 from .scoring import ScoreConfig, report_to_json, score
@@ -43,6 +43,7 @@ from .experiments import (
     ABLATION_METRICS,
     DEFAULT_PLAN,
     RANK_METRICS,
+    SUMMARY_GROUPS,
     aggregate,
     draw_dataset,
     hypothesis_set,
@@ -223,18 +224,23 @@ def _check_config(dest: str, value) -> None:
         raise ValueError(f"--config key {dest!r}: {value!r} is not {expected}")
 
 
-def _ignored(opts: dict) -> tuple[str, tuple[str, ...]]:
-    """The mode that opts selects, and the options that mode does not read."""
+def _ignored(opts: dict) -> list[tuple[str, tuple[str, ...]]]:
+    """Each mode that opts selects, with the options that mode does not read."""
     command = opts["command"]
     if command == "ablate" and opts["plan"] is not None:
         # _cmd_ablate refuses --data beside --plan, from a flag or --config.
-        return f"ablate {_flag('plan')}", tuple(
-            d for d in COMMANDS["ablate"][1] if d not in ("plan", "data", "mode", "out"))
+        return [(f"ablate {_flag('plan')}", tuple(
+            d for d in COMMANDS["ablate"][1] if d not in ("plan", "data", "mode", "out")))]
+    modes = []
     if command == "rank" and opts["sizes"] is None:
-        return f"rank without {_flag('sizes')}", ("replicates",)
+        modes.append((f"rank without {_flag('sizes')}", ("replicates",)))
     if command == "score" and opts["hypothesis"] is not None:
-        return f"score {_flag('hypothesis')}", ("hypothesis_file",)
-    return command, ()
+        modes.append((f"score {_flag('hypothesis')}", ("hypothesis_file",)))
+    if opts.get("estimator") not in (None, "ridge"):
+        modes.append((f"{command} {_flag('estimator')} {opts['estimator']}", ("ridge_lambda",)))
+    if opts.get("link") not in (None, "saturating"):
+        modes.append((f"{command} {_flag('link')} {opts['link']}", ("tau",)))
+    return modes
 
 
 def _resolve(args: argparse.Namespace) -> dict:
@@ -272,10 +278,10 @@ def _resolve(args: argparse.Namespace) -> dict:
     if opts.get("shuffles", 1) != 1:
         raise ValueError(f"{_flag('shuffles')} {opts['shuffles']} is not supported; "
                          "S(h) uses one control permutation")
-    mode, ignored = _ignored(opts)
-    refused = [_flag(dest) for dest in ignored if dest in given]
-    if refused:
-        raise ValueError(f"{mode} does not read {', '.join(refused)}")
+    for mode, ignored in _ignored(opts):
+        refused = [_flag(dest) for dest in ignored if dest in given]
+        if refused:
+            raise ValueError(f"{mode} does not read {', '.join(refused)}")
     if opts.get("seed", 0) < 0:
         raise ValueError("--seed must be nonnegative")
     if command == "ablate" and (opts["plan"] is None) == (opts["data"] is None):
@@ -321,6 +327,18 @@ def _load_data(opts: dict) -> StimulusResponseDataset:
     return load_dataset(path)
 
 
+def _read_coords(path, keys: tuple[str, ...]) -> list:
+    """The coordinates in a JSON file: a list, or the first of keys in an object."""
+    with open(path, "r", encoding="utf-8") as fh:
+        coords = json.load(fh)
+    if isinstance(coords, dict):
+        coords = next((coords[k] for k in keys if k in coords), None)
+    if coords is None:
+        raise ValueError(f"coordinate file {path} holds neither a coordinate list nor an "
+                         f"object with {' or '.join(map(json.dumps, keys))}")
+    return coords
+
+
 def _cv_section(opts: dict) -> dict:
     return {"n_folds": opts["folds"], "train_fraction": opts["train_fraction"]}
 
@@ -361,15 +379,9 @@ def _cmd_generate(opts: dict, out: Path) -> str:
 
 def _cmd_score(opts: dict, out: Path) -> str:
     ds = _load_data(opts)
-    coords, path = opts["hypothesis"], opts["hypothesis_file"]
-    if coords is None and path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            coords = json.load(fh)
-        if isinstance(coords, dict):
-            coords = coords.get("coords")
-        if coords is None:
-            raise ValueError(f"hypothesis file {path} holds neither a coordinate list "
-                             "nor an object with \"coords\"")
+    coords = opts["hypothesis"]
+    if coords is None and opts["hypothesis_file"] is not None:
+        coords = _read_coords(opts["hypothesis_file"], ("coords",))
     if coords is None:
         raise ValueError("provide --hypothesis or --hypothesis-file")
     cfg = _score_config(opts)
@@ -394,7 +406,8 @@ def _sweep_plan(opts: dict, data: str) -> dict:
         "dataset": {"file": data},
         "estimators": [{
             "kind": opts["estimator"],
-            "ridge_lambda": opts["ridge_lambda"],
+            # a plan refuses a nonzero λ on another kind; a --config λ is ignored there
+            "ridge_lambda": opts["ridge_lambda"] if opts["estimator"] == "ridge" else 0.0,
             "shuffle_aligned": bool(opts.get("shuffle_aligned", False)),
         }],
         "cv": _cv_section(opts),
@@ -487,16 +500,8 @@ def _cmd_ablate(opts: dict, out: Path) -> str:
 
 def _cmd_recover(opts: dict, out: Path) -> str:
     ds = _load_data(opts)
-    zhat_path = _require(opts, "zhat")
-    with open(zhat_path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if isinstance(raw, dict):
-        # summary.json's best_point is in CMA-ES reduced coordinates, not latent ones
-        coords = raw.get("coords", raw.get("recovered_point"))
-    else:
-        coords = raw
-    if coords is None:
-        raise ValueError("zhat file must hold a coordinate list or a summary with one")
+    # summary.json's best_point is in CMA-ES reduced coordinates, not latent ones
+    coords = _read_coords(_require(opts, "zhat"), ("coords", "recovered_point"))
     d_hat, metrics = recover_labels(ds, np.asarray(coords, dtype=np.float64))
     rows = []
     for i, v in enumerate(d_hat):
@@ -514,79 +519,60 @@ def _cmd_recover(opts: dict, out: Path) -> str:
     return f"reconstructed {len(rows)} labels, rmse {metrics['rmse']:.12g} ({pct_txt})"
 
 
+# The JSON-lines logs that report merges, each written by the command that owns its rows.
+_RUN_LOGS = ("rank_rows", "rank_detail", "sweep_rows", "trace", "ablation_rows")
+
+
 def _read_jsonl(path: Path) -> list[dict]:
-    rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return rows
+        return [json.loads(line) for line in fh if line.strip()]
 
 
 def _cmd_report(opts: dict, out: Path) -> str:
-    rank_rows, detail_rows, sweep_rows, trace_rows, ablation_rows = [], [], [], [], []
+    logs = {name: [] for name in _RUN_LOGS}  # name -> one list of rows per run
     for item in opts["inputs"]:
         run = Path(item)
         if not run.is_dir():
             raise FileNotFoundError(f"run directory not found: {run}")
-        tag = run.name
-        if (run / "rank_rows.jsonl").exists():
-            rank_rows += [{"run": tag, **r} for r in _read_jsonl(run / "rank_rows.jsonl")]
-        if (run / "rank_detail.jsonl").exists():
-            detail_rows += [{"run": tag, **r} for r in _read_jsonl(run / "rank_detail.jsonl")]
-        if (run / "sweep_rows.jsonl").exists():
-            sweep_rows += [{"run": tag, **r} for r in _read_jsonl(run / "sweep_rows.jsonl")]
-        if (run / "trace.jsonl").exists():
-            best_s, best_d = -np.inf, None
-            for rec in _read_jsonl(run / "trace.jsonl"):
-                if not rec.get("nonfinite") and rec["score"] > best_s:
-                    best_s = rec["score"]
-                    if rec.get("distance") is not None:
-                        best_d = rec["distance"]
-                trace_rows.append({
-                    "run": tag,
-                    "evaluation": rec["index"],
-                    "score": rec["score"],
-                    "best_score": None if best_s == -np.inf else best_s,
-                    "distance": rec.get("distance"),
-                    "best_distance": best_d,
-                })
-        if (run / "ablation_rows.jsonl").exists():
-            ablation_rows += [{"run": tag, **r} for r in _read_jsonl(run / "ablation_rows.jsonl")]
+        for name, runs in logs.items():
+            if (run / f"{name}.jsonl").exists():
+                runs.append([{"run": run.name, **r} for r in _read_jsonl(run / f"{name}.jsonl")])
+    rows = {name: [r for run in runs for r in run] for name, runs in logs.items()}
 
-    wrote = []
-    if rank_rows:
-        table = aggregate(rank_rows, ("estimator",), RANK_METRICS)
-        write_table(table, out / "table1.csv")
-        wrote.append("table1.csv")
-    if detail_rows:
-        write_table(detail_rows, out / "fig2_score_vs_distance.csv",
-                    columns=["run", "estimator", "index", "distance", "score", "is_target"])
-        wrote.append("fig2_score_vs_distance.csv")
-    if sweep_rows:
-        table = aggregate(sweep_rows, ("size", "estimator"), RANK_METRICS)
-        write_table(table, out / "fig3_metric_vs_size.csv")
-        wrote.append("fig3_metric_vs_size.csv")
-    if trace_rows:
-        write_table(trace_rows, out / "fig5_distance_vs_evaluation.csv",
-                    columns=["run", "evaluation", "score", "best_score",
-                             "distance", "best_distance"])
-        wrote.append("fig5_distance_vs_evaluation.csv")
-    if ablation_rows:
-        # each mode is summarized over its own cells with its own metrics
-        table = []
-        for mode, metrics in ABLATION_METRICS.items():
-            ok = [r for r in ablation_rows
-                  if r.get("status") == "ok" and r.get("mode") == mode]
-            if ok:
-                table += aggregate(ok, ("mode", "threshold", "condition", "estimator"), metrics)
-        if table:
-            write_table(table, out / "ablation_summary.csv")
-            wrote.append("ablation_summary.csv")
-    if not wrote:
+    tables = {}  # file name -> (rows, columns, or None for every key in row order)
+    if rows["rank_rows"]:
+        tables["table1.csv"] = aggregate(rows["rank_rows"], ("estimator",), RANK_METRICS), None
+    if rows["rank_detail"]:
+        tables["fig2_score_vs_distance.csv"] = rows["rank_detail"], [
+            "run", "estimator", "index", "distance", "score", "is_target"]
+    if rows["sweep_rows"]:
+        tables["fig3_metric_vs_size.csv"] = aggregate(
+            rows["sweep_rows"], SUMMARY_GROUPS["sweep"], RANK_METRICS), None
+    # best-so-far columns replay each trace through the rule that wrote its summary.json
+    fig5 = []
+    for run in logs["trace"]:
+        trace = OptimizationTrace()
+        for rec in run:
+            trace.record(rec["point"], rec["score"], rec["distance"])
+            fig5.append({**rec, "evaluation": rec["index"], "best_distance": trace.best_distance,
+                         "best_score": None if trace.best_point is None else trace.best_score})
+    if fig5:
+        tables["fig5_distance_vs_evaluation.csv"] = fig5, [
+            "run", "evaluation", "score", "best_score", "distance", "best_distance"]
+    # each mode is summarized over its own cells with its own metrics
+    summary = []
+    for mode, metrics in ABLATION_METRICS.items():
+        ok = [r for r in rows["ablation_rows"]
+              if r.get("status") == "ok" and r.get("mode") == mode]
+        if ok:
+            summary += aggregate(ok, ("mode", *SUMMARY_GROUPS["ablation"]), metrics)
+    if summary:
+        tables["ablation_summary.csv"] = summary, None
+    if not tables:
         raise ValueError("no recognized result files under the given run directories")
-    return f"wrote {', '.join(wrote)} under {out}"
+    for name, (table, columns) in tables.items():
+        write_table(table, out / name, columns=columns)
+    return f"wrote {', '.join(tables)} under {out}"
 
 
 HANDLERS = {

@@ -93,6 +93,11 @@ def solve_centered(kind: str, lam: float, u: np.ndarray, s: np.ndarray,
     return (vt.swapaxes(-1, -2) @ uy[..., None])[..., 0]
 
 
+def cv_min_rows(n_folds: int) -> int:
+    """The fewest rows that n_folds-fold cross-validation can split: n_folds, and at least 2."""
+    return max(n_folds, 2)
+
+
 def cv_splits(cv: CvConfig, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Seeded train/validation index pairs over range(n).
 
@@ -100,10 +105,9 @@ def cv_splits(cv: CvConfig, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     sets of different folds may overlap.  Indices are returned sorted
     ascending, keyed only to (cv.seed, fold).
     """
-    if n < cv.n_folds:
-        raise ValueError(f"need at least n_folds={cv.n_folds} rows, got {n}")
-    if n < 2:
-        raise ValueError("cross-validation needs at least 2 rows")
+    need = cv_min_rows(cv.n_folds)
+    if n < need:
+        raise ValueError(f"n_folds={cv.n_folds} cross-validation needs {need} rows, got {n}")
     n_train = min(max(int(round(cv.train_fraction * n)), 1), n - 1)
     splits = []
     for f in range(cv.n_folds):

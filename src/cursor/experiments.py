@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import StimulusResponseDataset, ablate_near_target, load_dataset, subsample
-from .estimators import KINDS, MIN_FOLDS, CvConfig, EstimatorSpec
+from .estimators import KINDS, MIN_FOLDS, CvConfig, EstimatorSpec, cv_min_rows
 from .latent import ACQUISITION_D_MAX, SPACINGS, LatentPoint, as_point
 from .optimize import CmaConfig, recover_target
 from .pca import default_latent_k, default_response_k, pca_fit
@@ -41,6 +41,7 @@ __all__ = [
     "ExperimentPlan",
     "PLAN_SCHEMA",
     "RANK_METRICS",
+    "SUMMARY_GROUPS",
     "aggregate",
     "default_size_ladder",
     "draw_dataset",
@@ -242,9 +243,12 @@ class ExperimentPlan:
         bad = [t for t in resolved["ablation_thresholds"] if not t >= 0]
         if bad:
             raise ValueError(f"ablation_thresholds must be >= 0, got {bad}")
-        keys = [key for key, _, _ in self.estimator_entries()]
-        if len(set(keys)) != len(keys):
+        entries = self.estimator_entries()
+        if len({key for key, _, _ in entries}) != len(entries):
             raise ValueError("estimator labels must be unique")
+        ignored = [key for key, spec, _ in entries if spec.kind != "ridge" and spec.ridge_lambda]
+        if ignored:
+            raise ValueError(f"estimators {ignored} set a ridge_lambda that only ridge reads")
 
     @property
     def hash(self) -> str:
@@ -391,9 +395,7 @@ def rank_metrics(report: RankReport | None) -> dict:
 
 def default_size_ladder(n: int, n_folds: int) -> list[int]:
     fracs = np.geomspace(SIZE_LADDER_RATIO, 1.0, SIZE_LADDER_RUNGS)
-    floor = max(n_folds, 2)
-    sizes = sorted({min(n, max(floor, int(round(n * f)))) for f in fracs})
-    return sizes
+    return sorted({min(n, max(cv_min_rows(n_folds), int(round(n * f)))) for f in fracs})
 
 
 def _map_jobs(jobs):
@@ -418,9 +420,12 @@ def run_size_sweep(plan: ExperimentPlan) -> list[dict]:
     """Rank-metric rows over (size, estimator, replicate) cells.
 
     At size == N the cell is the plain unablated ranking run with the same
-    derived seeds; smaller sizes evaluate a seeded uniform subsample.
+    derived seeds; smaller sizes evaluate a seeded uniform subsample.  A size
+    above N, or below cv_min_rows(n_folds) = max(n_folds, 2), the fewest rows
+    a cell can cross-validate, is refused before any cell runs.
     """
     n_folds = plan.raw["cv"]["n_folds"]
+    need = cv_min_rows(n_folds)
     datasets = replicate_datasets(plan)
     sizes = plan.raw["sizes"]
     jobs = []
@@ -430,9 +435,9 @@ def run_size_sweep(plan: ExperimentPlan) -> list[dict]:
         bad = [s for s in cell_sizes if s > ds.n]
         if bad:
             raise ValueError(f"sizes {bad} exceed dataset size {ds.n}")
-        small = [s for s in cell_sizes if s < n_folds]
+        small = [s for s in cell_sizes if s < need]
         if small:
-            raise ValueError(f"sizes {small} are below n_folds={n_folds}")
+            raise ValueError(f"sizes {small} are below the {need} rows a cell needs")
         for size in cell_sizes:
             for key, spec, shuffled in plan.estimator_entries():
                 jobs.append(partial(_sweep_cell, plan, ds, t, v, size, key, spec, shuffled))
@@ -444,6 +449,9 @@ ABLATION_METRICS = {
     "ranking": RANK_METRICS,
     "optimization": ("recovered_distance", "best_score"),
 }
+# The columns that a sweep and an ablation summary group their rows by.
+SUMMARY_GROUPS = {"sweep": ("size", "estimator"),
+                  "ablation": ("threshold", "condition", "estimator")}
 
 
 def _pca_ks(optimization: dict, ds: StimulusResponseDataset) -> tuple[int, int]:
@@ -530,7 +538,7 @@ def run_ablation(plan: ExperimentPlan, mode: str = "ranking") -> list[dict]:
     # the fewest rows that cross-validation (and in optimization mode, both
     # PCAs) can use; every replicate dataset has the same shape
     first = next(iter(datasets.values()))
-    need = max(plan.raw["cv"]["n_folds"], 2)
+    need = cv_min_rows(plan.raw["cv"]["n_folds"])
     if mode == "optimization":
         need = max(need, *_pca_ks(plan.raw["optimization"], first))
     if first.n < need:
@@ -630,13 +638,11 @@ def run_plan(plan: ExperimentPlan, out_dir, kinds: tuple[str, ...] = ("sweep",),
     Emits per-cell CSV + JSON-lines detail plus a mean/std summary per
     condition.  Returns {section: list of row dicts}.
     """
-    sections = {}  # name -> (rows, summary groups, summary metrics)
+    sections = {}  # name -> (rows, summary metrics)
     if "sweep" in kinds:
-        sections["sweep"] = (run_size_sweep(plan), ("size", "estimator"), RANK_METRICS)
+        sections["sweep"] = (run_size_sweep(plan), RANK_METRICS)
     if "ablation" in kinds:
-        sections["ablation"] = (run_ablation(plan, mode=ablation_mode),
-                                ("threshold", "condition", "estimator"),
-                                ABLATION_METRICS[ablation_mode])
+        sections["ablation"] = run_ablation(plan, ablation_mode), ABLATION_METRICS[ablation_mode]
     # Nothing is written until every section has run, so a plan that a
     # section refuses (sizes above N, say) leaves no plan.json behind.
     out_dir = Path(out_dir)
@@ -646,13 +652,13 @@ def run_plan(plan: ExperimentPlan, out_dir, kinds: tuple[str, ...] = ("sweep",),
     # every emitted table identifies its plan and seed
     head = {"plan_hash": plan.hash, "master_seed": plan.master_seed}
     results = {}
-    for name, (rows, groups, metrics) in sections.items():
+    for name, (rows, metrics) in sections.items():
         rows = results[name] = [{**head, **row} for row in rows]
         write_table(rows, out_dir / f"{name}.csv")
         write_jsonl(rows, out_dir / f"{name}_rows.jsonl")
         # skipped ablation cells have no metrics to summarize
         ok = [r for r in rows if r.get("status", "ok") == "ok"]
         if ok:
-            summary = [{**head, **row} for row in aggregate(ok, groups, metrics)]
+            summary = [{**head, **row} for row in aggregate(ok, SUMMARY_GROUPS[name], metrics)]
             write_table(summary, out_dir / f"{name}_summary.csv")
     return results

@@ -6,6 +6,7 @@ interpreter per setting, because OpenBLAS reads its thread count at load.
 """
 
 import argparse
+import csv
 import json
 import os
 import re
@@ -273,6 +274,19 @@ def test_manifest_with_workers_key_replays(tmp_path, data_csv, capsys):
     assert "workers" not in options and "format" not in options
     assert rank_run(data_csv, tmp_path / "flag", ("--workers", "2")) == 2
     capsys.readouterr()
+
+
+def test_config_ridge_lambda_beside_another_estimator_is_ignored(tmp_path, data_csv):
+    # a --config value is no flag, so a ridge run's manifest replays under
+    # --estimator ols, in a sweep too, and ranks as a plain OLS run does
+    ridge = tmp_path / "ridge"
+    assert rank_run(data_csv, ridge, ("--estimator", "ridge", "--ridge-lambda", "5")) == 0
+    config = ["--config", str(ridge / "manifest.json"), "--estimator", "ols"]
+    for extra, table in (((), "rank.csv"), (("--sizes", "6,12"), "sweep.csv")):
+        plain, replay = tmp_path / f"plain-{table}", tmp_path / f"replay-{table}"
+        assert rank_run(data_csv, plain, extra) == 0
+        assert main(["rank", *config, *extra, "-o", str(replay)]) == 0
+        assert (plain / table).read_bytes() == (replay / table).read_bytes()
 
 
 @pytest.mark.parametrize("source,scoring,accepted", [
@@ -639,6 +653,11 @@ def test_ablate_duplicate_labels_fail_before_plan_json(tmp_path, capsys):
     (["rank", "--data", "{data}", "--L", "6", "--d-max", "8", "--folds", "3",
       "--config", "{type_config}"],
      "error: --config key 'seed': '3' is not of type int"),
+    (["score", "--data", "{data}", "--hypothesis", "0,0,0,0", "--folds", "3",
+      "--ridge-lambda", "5"], "error: score --estimator ols does not read --ridge-lambda"),
+    ([*GEN_ARGS, "--tau", "0.5"], "error: generate --link linear does not read --tau"),
+    (["rank", "--data", "{data}", "--L", "6", "--d-max", "8", "--folds", "1",
+      "--sizes", "1,12"], "error: sizes [1] are below the 2 rows a cell needs"),
 ], ids=["ablate-plan-L", "ablate-plan-many", "ablate-plan-thresholds",
         "rank-replicates-without-sizes", "score-hypothesis-and-file", "rank-format",
         "recover-seed", "rank-sizes-above-n", "score-file-without-coords",
@@ -649,14 +668,15 @@ def test_ablate_duplicate_labels_fail_before_plan_json(tmp_path, capsys):
         "sweep-zero-replicates", "sweep-repeated-size", "ablate-repeated-threshold",
         "rank-two-shuffles", "rank-no-target", "sweep-no-target", "ablate-no-target",
         "ablate-too-few-rows", "config-string-for-bool", "config-unknown-choice",
-        "config-string-for-int"])
+        "config-string-for-int", "score-ols-ridge-lambda", "generate-linear-tau",
+        "sweep-size-below-two"])
 def test_refused_options_write_nothing(tmp_path, data_csv, bare_csv, capsys, argv, needle):
     # a flag the chosen mode would ignore, a value it cannot use (NaN and inf
     # included), a --config value its flag could not give, a sweep size above
-    # N, an ablation of a dataset too small for any cell, a hypothesis so far
-    # away that its distances overflow, or a ranking or ablation of a dataset
-    # with no hidden target, is refused before any output, and leaves no
-    # output directory behind
+    # N or below the rows cross-validation needs, an ablation of a dataset too
+    # small for any cell, a hypothesis so far away that its distances
+    # overflow, or a ranking or ablation of a dataset with no hidden target,
+    # is refused before any output, and leaves no output directory behind
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({
         "dataset": {"file": data_csv}, "hypothesis_set": {"count": 6, "d_max": 8},
@@ -771,11 +791,29 @@ def test_report_summarizes_each_ablation_mode_apart(tmp_path):
         assert {k for k, v in r.items() if k.endswith("_mean") and v} == means[r["mode"]]
 
 
-def test_report_includes_trace(tmp_path, optimize_dir):
-    rep = tmp_path / "rep"
-    assert main(["report", str(optimize_dir), "-o", str(rep)]) == 0
-    lines = (rep / "fig5_distance_vs_evaluation.csv").read_text().splitlines()
-    assert len(lines) == 13  # header + 12 evaluations
+def _fig5_rows(run: Path, rep: Path) -> list[dict]:
+    assert main(["report", str(run), "-o", str(rep)]) == 0
+    with open(rep / "fig5_distance_vs_evaluation.csv", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_report_includes_trace(tmp_path, optimize_dir, bare_csv):
+    rows = _fig5_rows(optimize_dir, tmp_path / "rep")
+    assert len(rows) == 12  # one per evaluation
+    # the best-so-far columns follow the rule that wrote summary.json
+    best = [float(r["best_score"]) for r in rows]
+    assert best == sorted(best)
+    summary = json.loads((optimize_dir / "summary.json").read_text())
+    assert rows[-1]["best_score"] == f"{summary['best_score']:.12g}"
+    assert rows[-1]["best_distance"] == f"{summary['best_distance']:.12g}"
+    # a run without a hidden target has no distances to report
+    bare = tmp_path / "bare"
+    assert main(["optimize", "--data", bare_csv, *OPT_ARGS, "-o", str(bare)]) == 0
+    rows = _fig5_rows(bare, tmp_path / "rep_bare")
+    assert len(rows) == 12
+    assert all(r["distance"] == r["best_distance"] == "" for r in rows)
+    summary = json.loads((bare / "summary.json").read_text())
+    assert rows[-1]["best_score"] == f"{summary['best_score']:.12g}"
 
 
 def test_report_rejects_empty(tmp_path, capsys):

@@ -189,6 +189,18 @@ def test_estimator_entries_label_synthesis():
         tiny_plan(estimators=[{"kind": "ols"}, {"kind": "ols"}])
 
 
+def test_plan_refuses_a_ridge_lambda_its_estimator_ignores():
+    # only ridge reads ridge_lambda; 0.0, the default every kind is written
+    # with, stays accepted
+    with pytest.raises(ValueError, match=r"\['ols-l4'\] set a ridge_lambda that only ridge"):
+        tiny_plan(estimators=[{"kind": "ols", "ridge_lambda": 4, "label": "ols-l4"}])
+    with pytest.raises(ValueError, match="only ridge reads"):
+        tiny_plan(estimators=[{"kind": "dummy_mean", "ridge_lambda": 0.5}])
+    plan = tiny_plan(estimators=[{"kind": "ols", "ridge_lambda": 0.0},
+                                 {"kind": "ridge", "ridge_lambda": 4}])
+    assert [key for key, _, _ in plan.estimator_entries()] == ["ols", "ridge-4"]
+
+
 def test_replicate_seeds_keyed_by_indices():
     plan = tiny_plan()
     s00 = replicate_seeds(plan, 0, 0)
